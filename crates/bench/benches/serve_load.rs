@@ -26,6 +26,7 @@ use holistix::prelude::*;
 use holistix_bench::loadgen::{
     ramp_until_slo, run_open_loop, OpenLoopConfig, SloConfig, StepMeasure,
 };
+use holistix_bench::report::merge_section;
 use holistix_serve::{
     serve, AdmissionConfig, BatchConfig, KeepAliveConfig, ModelRegistry, ServeConfig,
 };
@@ -205,18 +206,6 @@ fn main() {
 
     // Merge (not overwrite): other serving benches keep their sections.
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let mut fields: Vec<(String, JsonValue)> = match std::fs::read_to_string(out_path)
-        .ok()
-        .and_then(|s| JsonValue::parse(&s).ok())
-    {
-        Some(JsonValue::Object(existing)) => existing
-            .into_iter()
-            .filter(|(key, _)| key != "serve_load")
-            .collect(),
-        _ => Vec::new(),
-    };
-    fields.push(("serve_load".to_string(), entry));
-    std::fs::write(out_path, JsonValue::Object(fields).to_string())
-        .expect("write BENCH_serve.json");
+    merge_section(out_path, "serve_load", entry);
     println!("serve_load entry written to {out_path}");
 }

@@ -23,12 +23,14 @@
 //! keep-alive connections parked on the server** (100 → 2 000). Under the old
 //! one-thread-per-connection pool those idle clients would each pin a worker;
 //! under the multiplexer they cost poll-set entries, so throughput and thread
-//! count must both stay flat. The sweep's trajectory is written to
-//! `BENCH_serve.json` at the repository root so successive runs can be
-//! compared. Each step also records p50/p99/p999 request latency, read from
-//! the server's own log-bucketed histogram and snapshot-subtracted so every
-//! step reports only its own requests — the same instrumentation `/metrics`
-//! exposes, exercised here as the regression gate for its overhead.
+//! count must both stay flat. The sweep's trajectory is merged into
+//! `BENCH_serve.json` at the repository root under the `"serve_throughput"`
+//! key (preserving what the other serving benches wrote) so successive runs
+//! can be compared. Each step also records p50/p99/p999 request latency,
+//! read from the server's own log-bucketed histogram and snapshot-subtracted
+//! so every step reports only its own requests — the same instrumentation
+//! `/metrics` exposes, exercised here as the regression gate for its
+//! overhead.
 //!
 //! Correctness is pinned elsewhere (the loopback integration tests assert
 //! bit-identical answers over keep-alive connections and batches); this bench
@@ -471,7 +473,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let real_backend = real_backend_sweep();
 
     let report = JsonValue::object(vec![
-        ("bench", JsonValue::string("serve_throughput")),
         ("active_clients", JsonValue::Number(CLIENTS as f64)),
         (
             "requests_per_client",
@@ -481,7 +482,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         ("real_backend", real_backend.clone()),
     ]);
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(out_path, report.to_string()).expect("write BENCH_serve.json");
+    merge_section(out_path, "serve_throughput", report);
     println!("idle-sweep trajectory written to {out_path}");
     // The serving-level quantization speedup also belongs in the transformer
     // trajectory file, next to the kernel-level numbers.

@@ -243,7 +243,7 @@ impl BatchQueue {
     /// handle is dropped. The scorer is resolved once per batch from the
     /// shared registry, so a `/reload` swap lands between batches: an
     /// assembled batch always finishes on the scorer it started with.
-    pub(crate) fn run(self, registry: &SharedRegistry, serve_metrics: &ServeMetrics) {
+    pub(crate) fn run(self, registry: &SharedRegistry) {
         let max_batch = self.config.max_batch.max(1);
         while let Ok(first) = self.receiver.recv() {
             let deadline = Instant::now() + self.config.max_wait;
@@ -258,14 +258,14 @@ impl BatchQueue {
                     Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            self.score_batch(&jobs, registry, serve_metrics);
+            self.score_batch(&jobs, registry);
         }
     }
 
     /// Score one assembled batch with this queue's scorer (one batched
     /// `probabilities` call) and reply to every job, carrying the batch's
     /// drain and score instants so each waiting worker can stamp its trace.
-    fn score_batch(&self, jobs: &[Job], registry: &SharedRegistry, serve_metrics: &ServeMetrics) {
+    fn score_batch(&self, jobs: &[Job], registry: &SharedRegistry) {
         let drained = Instant::now();
         let (rows, scored) = match registry.current().get(self.kind) {
             Some(scorer) => {
@@ -277,7 +277,6 @@ impl BatchQueue {
                     .collect();
                 let score_us = scored.duration_since(drained).as_micros() as u64;
                 self.metrics.record_batch(jobs.len(), &waits, score_us);
-                serve_metrics.record_batch(jobs.len());
                 (rows, scored)
             }
             // The queue exists because the startup registry had this kind, and
@@ -371,7 +370,7 @@ mod tests {
         let (handle, queues) = build_queues(registry, base, metrics, usize::MAX);
         crossbeam::thread::scope(|scope| {
             for queue in queues {
-                scope.spawn(move |_| queue.run(registry, metrics));
+                scope.spawn(move |_| queue.run(registry));
             }
             body(&handle);
             drop(handle); // lets every drain loop exit

@@ -101,7 +101,9 @@
 //!   accept/close totals, readiness wakeups, pipelined requests, idle
 //!   evictions), the configured thread plan next to the live OS thread
 //!   count, the cross-queue batch histogram and end-to-end request latency
-//!   percentiles — served by `GET /metrics` as JSON *and* Prometheus text.
+//!   percentiles. The crate-private `family` module renders them for
+//!   `GET /metrics` as JSON *and* Prometheus text from one list of metric
+//!   families.
 //! * **[`obs`]** — the observability layer: lock-free log2-bucketed
 //!   histograms, per-request traces, the slow-trace ring, and the Prometheus
 //!   exposition helpers. See **Observability** below.
@@ -216,29 +218,22 @@
 //! writers (a test records under sustained concurrent scraping and loses
 //! nothing).
 //!
-//! **Prometheus naming** (`/metrics?format=prometheus` or
-//! `Accept: text/plain`):
+//! **Metric families**: both `/metrics` formats render one list,
+//! `ServeMetrics::families` in `metrics.rs`, where each family names its
+//! Prometheus name, help, type and labels next to its JSON location (a dot
+//! path such as `queues.{kind}.depth`); that list is the naming table. The
+//! renderers in `family.rs` follow these rules:
 //!
-//! | Prometheus family                        | JSON counterpart |
-//! |------------------------------------------|------------------|
-//! | `holistix_build_info{version,git}`       | `/healthz` `build` section |
-//! | `holistix_uptime_seconds`                | `uptime_s` |
-//! | `holistix_requests_total{endpoint}`      | `requests.<endpoint>` |
-//! | `holistix_error_responses_total`         | `requests.errors` |
-//! | `holistix_keepalive_reuses_total`        | `keepalive_reuses_total` |
-//! | `holistix_texts_scored_total`            | `texts_scored` |
-//! | `holistix_reloads_total`                 | `registry.reloads_total` |
-//! | `holistix_connections_*`, `holistix_poll_wakeups_total`, `holistix_pipelined_requests_total`, `holistix_idle_timeout_evictions_total` | `connections` section |
-//! | `holistix_os_threads`                    | `threads.os_threads` |
-//! | `holistix_batch_size` (histogram)        | `batches` |
-//! | `holistix_request_latency_us` (histogram)| `latency_us` |
-//! | `holistix_queue_depth{kind}`, `holistix_queue_texts_scored_total{kind}`, `holistix_queue_batch_size{kind}`, `holistix_queue_wait_us{kind}`, `holistix_queue_score_us{kind}` | `queues.<kind>` |
-//! | `holistix_stage_duration_us{endpoint,stage}` | `stages` section |
-//! | `holistix_registry_*`                    | `registry` section |
-//! | `holistix_shed_total{endpoint,reason}`   | `admission.shed` |
-//! | `holistix_queue_depth_aggregate`         | `admission.aggregate_depth` |
-//! | `holistix_intake_closed`, `holistix_intake_closures_total` | `admission.intake_*` |
-//! | `holistix_admission_*` (limit gauges)    | `admission.limits` |
+//! * JSON writes each sample at its location with `{label}` segments filled
+//!   in; labels the location does not name (the queues' `scorer_kind`) are
+//!   Prometheus-only. Keys keep the family order, and a labeled family with
+//!   no samples still renders its parent object (`"stages": {}`).
+//! * `requests.total` and `admission.shed_total` are JSON sums of their
+//!   family's samples; in Prometheus, `sum()` over the family gives them.
+//! * Prometheus omits empty histograms and values that are unknown or not
+//!   configured (JSON `null` or absent), and drops a family left with no
+//!   samples, so every `# TYPE` line has samples.
+//! * The build info is Prometheus-only; JSON readers get it from `/healthz`.
 //!
 //! ## Threading invariants
 //!
@@ -290,6 +285,7 @@
 pub mod admission;
 pub mod batcher;
 pub mod conn;
+mod family;
 pub mod http;
 pub mod metrics;
 pub mod obs;

@@ -6,22 +6,27 @@
 //! every histogram is a [`LogHistogram`] (one atomic counter per log2
 //! bucket), so a `/metrics` scrape can never block a recording thread and
 //! recording threads never block each other. The only mutexes left guard
-//! registration-time state (the queue list, the thread plan), touched once
-//! per server start and once per scrape — never per request or per text.
+//! registration-time state (the queue list, the thread plan, the admission
+//! limits, the registry's fit stats), touched once per server start or
+//! reload and once per scrape — never per request or per text.
 //!
-//! Since the per-kind batch-queue redesign, every registered scorer owns a
-//! [`QueueMetrics`]: its live queue depth, its own batch-size histogram, and
-//! — since the observability layer — separate `queue_wait` (enqueue → batch
+//! Every registered scorer owns a [`QueueMetrics`]: its live queue depth, its
+//! own batch-size histogram, and separate `queue_wait` (enqueue → batch
 //! drain) and `score` (one batched `probabilities` call) histograms, so a
-//! saturated transformer queue is visible *next to* a healthy classical one
-//! instead of smeared into one global number. The global batch histogram and
-//! `texts_scored` remain as cross-queue aggregates.
+//! saturated transformer queue is visible *next to* a healthy classical one.
+//! The cross-queue aggregates (`texts_scored`, the global batch histogram)
+//! are not recorded separately: a scrape merges them from the per-queue
+//! sections, which is exact because histogram merge is bucket-wise addition.
+//!
+//! A scrape reads this state once, in `ServeMetrics::families`, the list the
+//! `family` module renders as both the JSON document and Prometheus text.
 //!
 //! End-to-end request latency is recorded when a response's **last byte
 //! reaches the socket** (trace finalization in the poller), not when the
 //! handler finishes — so a client that drains slowly shows up in the tail.
 
-use crate::obs::{append_histogram, HistogramSnapshot, LogHistogram, Obs, RequestTrace};
+use crate::family::{self, Family, Value};
+use crate::obs::{HistogramSnapshot, LogHistogram, Obs, RequestTrace, ENDPOINT_NAMES, STAGE_NAMES};
 use crate::registry::FitStats;
 use holistix_corpus::json::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,100 +249,6 @@ impl AdmissionMetrics {
             rate_limit,
         });
     }
-
-    fn snapshot(&self, aggregate_depth: u64) -> JsonValue {
-        let shed_fields: Vec<(String, JsonValue)> = Endpoint::ALL
-            .iter()
-            .map(|&endpoint| {
-                let reasons: Vec<(&str, JsonValue)> = ShedReason::ALL
-                    .iter()
-                    .map(|&reason| {
-                        (
-                            reason.name(),
-                            JsonValue::Number(self.shed_count(endpoint, reason) as f64),
-                        )
-                    })
-                    .collect();
-                (endpoint.name().to_string(), JsonValue::object(reasons))
-            })
-            .collect();
-        let mut fields = vec![
-            ("aggregate_depth", JsonValue::Number(aggregate_depth as f64)),
-            ("intake_closed", JsonValue::Bool(self.intake_closed())),
-            (
-                "intake_closures_total",
-                JsonValue::Number(self.intake_closures_total() as f64),
-            ),
-            ("shed_total", JsonValue::Number(self.shed_total() as f64)),
-            ("shed", JsonValue::Object(shed_fields)),
-        ];
-        if let Some(limits) = *self.limits.lock().unwrap() {
-            fields.push((
-                "limits",
-                JsonValue::object(vec![
-                    (
-                        "max_queue_depth",
-                        JsonValue::Number(limits.max_queue_depth as f64),
-                    ),
-                    (
-                        "global_intake_limit",
-                        JsonValue::Number(limits.global_intake_limit as f64),
-                    ),
-                    (
-                        "explain_shed_depth",
-                        JsonValue::Number(limits.explain_shed_depth as f64),
-                    ),
-                    (
-                        "rate_per_s",
-                        limits
-                            .rate_limit
-                            .map_or(JsonValue::Null, |(rate, _)| JsonValue::Number(rate)),
-                    ),
-                    (
-                        "burst",
-                        limits
-                            .rate_limit
-                            .map_or(JsonValue::Null, |(_, burst)| JsonValue::Number(burst)),
-                    ),
-                ]),
-            ));
-        }
-        JsonValue::object(fields)
-    }
-}
-
-/// A batch-size histogram over a lock-free [`LogHistogram`]. Real batches are
-/// small (≤ `max_batch`, default 32–64), so most sizes land in the exact
-/// sub-32 buckets; larger ones coalesce into log2 buckets. The exact maximum
-/// is tracked separately either way.
-#[derive(Debug, Default)]
-struct BatchSizes {
-    histogram: LogHistogram,
-}
-
-impl BatchSizes {
-    fn record(&self, size: usize) {
-        self.histogram.record(size as u64);
-    }
-
-    fn max_size(&self) -> usize {
-        self.histogram.max() as usize
-    }
-
-    /// `{"count": n, "max_size": m, "histogram": {"<size>": count, …}}` —
-    /// keys are bucket upper bounds (exact sizes below 32).
-    fn snapshot_json(&self) -> JsonValue {
-        let snapshot = self.histogram.snapshot();
-        let fields: Vec<(String, JsonValue)> = snapshot
-            .nonzero_buckets()
-            .map(|(upper, count)| (upper.to_string(), JsonValue::Number(count as f64)))
-            .collect();
-        JsonValue::object(vec![
-            ("count", JsonValue::Number(snapshot.count() as f64)),
-            ("max_size", JsonValue::Number(snapshot.max() as f64)),
-            ("histogram", JsonValue::Object(fields)),
-        ])
-    }
 }
 
 /// Connection-layer statistics for the nonblocking multiplexer: the open
@@ -399,32 +310,6 @@ impl ConnectionMetrics {
     pub fn idle_evictions_total(&self) -> u64 {
         self.idle_evictions_total.load(Ordering::Relaxed)
     }
-
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("open", JsonValue::Number(self.open() as f64)),
-            (
-                "accepted_total",
-                JsonValue::Number(self.accepted_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "closed_total",
-                JsonValue::Number(self.closed_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "wakeups_total",
-                JsonValue::Number(self.wakeups_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "pipelined_requests_total",
-                JsonValue::Number(self.pipelined_total() as f64),
-            ),
-            (
-                "idle_timeout_evictions_total",
-                JsonValue::Number(self.idle_evictions_total() as f64),
-            ),
-        ])
-    }
 }
 
 /// Read this process's live OS thread count from `/proc/self/status`
@@ -453,7 +338,8 @@ pub struct QueueMetrics {
     /// `QueueMetrics::default()` (unit tests) gets a private one.
     aggregate: Arc<AtomicU64>,
     texts_scored: AtomicU64,
-    batches: BatchSizes,
+    /// Scored batch sizes. Below 32 every size gets an exact bucket.
+    batch_sizes: LogHistogram,
     /// Per-job enqueue → batch-drain wait (µs).
     queue_wait: LogHistogram,
     /// Per-batch `probabilities` call duration (µs).
@@ -523,7 +409,7 @@ impl QueueMetrics {
         self.depth.fetch_sub(size as u64, Ordering::Relaxed);
         self.aggregate.fetch_sub(size as u64, Ordering::Relaxed);
         self.texts_scored.fetch_add(size as u64, Ordering::Relaxed);
-        self.batches.record(size);
+        self.batch_sizes.record(size as u64);
         for &micros in job_wait_us {
             self.queue_wait.record(micros);
         }
@@ -537,20 +423,7 @@ impl QueueMetrics {
 
     /// The largest batch this queue has scored (0 before the first batch).
     pub fn max_batch_size(&self) -> usize {
-        self.batches.max_size()
-    }
-
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("depth", JsonValue::Number(self.depth() as f64)),
-            (
-                "texts_scored",
-                JsonValue::Number(self.texts_scored.load(Ordering::Relaxed) as f64),
-            ),
-            ("batches", self.batches.snapshot_json()),
-            ("queue_wait_us", self.queue_wait.snapshot().to_json()),
-            ("score_us", self.score.snapshot().to_json()),
-        ])
+        self.batch_sizes.max() as usize
     }
 }
 
@@ -563,18 +436,14 @@ pub struct ServeMetrics {
     /// Per-endpoint request counters, indexed by [`Endpoint::index`].
     requests: [AtomicU64; 7],
     error_responses: AtomicU64,
-    texts_scored: AtomicU64,
     /// Requests served on an already-used connection (the 2nd, 3rd, … request
     /// of a keep-alive session). Zero means every request paid a TCP setup.
     keepalive_reuses: AtomicU64,
     /// Completed registry reloads (a `/reload` fit + swap; startup not counted).
-    /// The fit stats themselves are *not* mirrored here — the registry behind
-    /// [`SharedRegistry`](crate::registry::SharedRegistry) is the single source
-    /// of truth and [`snapshot_with_fit`](Self::snapshot_with_fit) reads them
-    /// at snapshot time.
     reloads_total: AtomicU64,
-    /// Cross-queue aggregate batch histogram.
-    batches: BatchSizes,
+    /// Stats of the fit behind the serving registry, recorded when the server
+    /// starts and again by every reload, right after its swap.
+    fit: Mutex<FitStats>,
     /// End-to-end request latency (parse done → last byte written), recorded
     /// at trace finalization.
     request_latency: LogHistogram,
@@ -588,10 +457,10 @@ pub struct ServeMetrics {
     admission: AdmissionMetrics,
     /// Connection-layer counters for the nonblocking multiplexer.
     connections: ConnectionMetrics,
-    /// Configured thread plan `(pollers, handlers, queues)`, set once at
+    /// Configured thread plan `[pollers, handlers, queues]`, set once at
     /// server start; the point of the multiplexer is that this plan — not the
     /// connection count — determines the process's thread count.
-    thread_plan: Mutex<Option<(usize, usize, usize)>>,
+    thread_plan: Mutex<Option<[usize; 3]>>,
     /// Trace-id mint, per-endpoint × per-stage histograms, slow-trace ring.
     obs: Obs,
 }
@@ -609,10 +478,9 @@ impl ServeMetrics {
             started: Instant::now(),
             requests: std::array::from_fn(|_| AtomicU64::new(0)),
             error_responses: AtomicU64::new(0),
-            texts_scored: AtomicU64::new(0),
             keepalive_reuses: AtomicU64::new(0),
             reloads_total: AtomicU64::new(0),
-            batches: BatchSizes::default(),
+            fit: Mutex::new(FitStats::default()),
             request_latency: LogHistogram::new(),
             queues: Mutex::new(Vec::new()),
             aggregate_depth: Arc::new(AtomicU64::new(0)),
@@ -693,11 +561,19 @@ impl ServeMetrics {
     /// batch-queue threads the server runs. Reported under `threads` in the
     /// snapshot next to the live OS thread count.
     pub fn set_thread_plan(&self, pollers: usize, handlers: usize, queues: usize) {
-        *self.thread_plan.lock().unwrap() = Some((pollers, handlers, queues));
+        *self.thread_plan.lock().unwrap() = Some([pollers, handlers, queues]);
     }
 
-    /// Count one completed `/reload` (fresh registry fitted and swapped in).
-    pub fn record_reload(&self) {
+    /// Record the stats of the fit behind the serving registry (called once
+    /// when the server starts).
+    pub fn record_fit(&self, fit: FitStats) {
+        *self.fit.lock().expect("fit stats lock poisoned") = fit;
+    }
+
+    /// Count one completed `/reload` (fresh registry fitted and swapped in)
+    /// and record its fit stats.
+    pub fn record_reload(&self, fit: FitStats) {
+        self.record_fit(fit);
         self.reloads_total.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -729,20 +605,15 @@ impl ServeMetrics {
         metrics
     }
 
-    /// Record one scored micro-batch of `size` texts (cross-queue aggregate;
-    /// the owning queue's [`QueueMetrics`] is recorded separately).
-    pub fn record_batch(&self, size: usize) {
-        if size == 0 {
-            return;
-        }
-        self.texts_scored.fetch_add(size as u64, Ordering::Relaxed);
-        self.batches.record(size);
-    }
-
     /// The largest batch scored so far across all queues (0 before the first
     /// batch).
     pub fn max_batch_size(&self) -> usize {
-        self.batches.max_size()
+        let queues = self.queues.lock().expect("queue list lock poisoned");
+        queues
+            .iter()
+            .map(|(_, _, q)| q.max_batch_size())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total requests across all endpoints (including unroutable ones, so
@@ -754,358 +625,310 @@ impl ServeMetrics {
             .sum()
     }
 
-    /// The metrics document without registry fit stats (counters only in the
-    /// `registry` section). The server uses [`snapshot_with_fit`](Self::snapshot_with_fit).
+    /// The `GET /metrics` JSON document.
     pub fn snapshot(&self) -> JsonValue {
-        self.build_snapshot(None)
+        family::render_json(&self.families())
     }
 
-    /// The full metrics document served by `GET /metrics`: counters plus the
-    /// given registry's fit stats, read from the live registry at snapshot
-    /// time so `/metrics` can never disagree with the models actually serving.
-    pub fn snapshot_with_fit(&self, fit: &FitStats) -> JsonValue {
-        self.build_snapshot(Some(fit))
+    /// The `GET /metrics?format=prometheus` text exposition (version 0.0.4).
+    pub fn render_prometheus(&self) -> String {
+        family::render_prometheus(&self.families())
     }
 
-    fn build_snapshot(&self, fit: Option<&FitStats>) -> JsonValue {
-        let mut registry_fields = vec![(
-            "reloads_total",
-            JsonValue::Number(self.reloads_total.load(Ordering::Relaxed) as f64),
-        )];
-        if let Some(fit) = fit {
-            registry_fields.push((
-                "last_fit_us",
-                JsonValue::Number(fit.duration.as_micros() as f64),
-            ));
-            registry_fields.push(("fit_shards", JsonValue::Number(fit.shards as f64)));
-            registry_fields.push(("corpus_size", JsonValue::Number(fit.corpus_size as f64)));
-        }
-
-        let queue_fields: Vec<(String, JsonValue)> = self
-            .queues
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, _, metrics)| (name.clone(), metrics.snapshot()))
-            .collect();
-
-        let mut thread_fields = Vec::new();
-        if let Some((pollers, handlers, queues)) = *self.thread_plan.lock().unwrap() {
-            thread_fields.push(("pollers", JsonValue::Number(pollers as f64)));
-            thread_fields.push(("handlers", JsonValue::Number(handlers as f64)));
-            thread_fields.push(("queues", JsonValue::Number(queues as f64)));
-        }
-        thread_fields.push((
-            "os_threads",
-            match os_thread_count() {
-                Some(n) => JsonValue::Number(n as f64),
-                None => JsonValue::Null,
-            },
-        ));
-
-        let request_fields: Vec<(&str, JsonValue)> =
-            std::iter::once(("total", JsonValue::Number(self.total_requests() as f64)))
-                .chain(Endpoint::ALL.iter().map(|&endpoint| {
-                    (
-                        endpoint.name(),
-                        JsonValue::Number(
-                            self.requests[endpoint.index()].load(Ordering::Relaxed) as f64
-                        ),
-                    )
-                }))
-                .chain(std::iter::once((
-                    "errors",
-                    JsonValue::Number(self.error_responses.load(Ordering::Relaxed) as f64),
-                )))
-                .collect();
-
-        JsonValue::object(vec![
-            ("uptime_s", JsonValue::Number(self.uptime().as_secs_f64())),
-            ("requests", JsonValue::object(request_fields)),
-            (
-                "keepalive_reuses_total",
-                JsonValue::Number(self.keepalive_reuses.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "texts_scored",
-                JsonValue::Number(self.texts_scored.load(Ordering::Relaxed) as f64),
-            ),
-            ("batches", self.batches.snapshot_json()),
-            ("latency_us", self.request_latency.snapshot().to_json()),
-            ("stages", self.obs.stages_json()),
-            ("connections", self.connections.snapshot()),
-            (
-                "admission",
-                self.admission.snapshot(self.aggregate_queue_depth()),
-            ),
-            ("threads", JsonValue::object(thread_fields)),
-            ("queues", JsonValue::Object(queue_fields)),
-            ("registry", JsonValue::object(registry_fields)),
-        ])
-    }
-
-    /// The same data as [`snapshot_with_fit`](Self::snapshot_with_fit), in
-    /// Prometheus text exposition format (version 0.0.4): counters, gauges
-    /// and cumulative-bucket histograms. Families with no samples are
-    /// omitted entirely, so every emitted `# TYPE` line has samples — the
-    /// invariant [`crate::obs::validate_exposition`] checks.
-    pub fn render_prometheus(&self, fit: Option<&FitStats>) -> String {
-        let mut out = String::with_capacity(4096);
+    /// Every metric family `/metrics` exports, read now. The order is the
+    /// JSON document's key order. The cross-queue `texts_scored` and
+    /// `batches` are merged from one snapshot of each queue, so they always
+    /// agree with the per-queue sections of the same scrape.
+    pub(crate) fn families(&self) -> Vec<Family> {
+        let int = |counter: &AtomicU64| Value::Int(counter.load(Ordering::Relaxed));
         let (version, git) = build_info();
-        out.push_str("# HELP holistix_build_info Build metadata as labels; value is always 1.\n# TYPE holistix_build_info gauge\n");
-        out.push_str(&format!(
-            "holistix_build_info{{version=\"{version}\",git=\"{git}\"}} 1\n"
-        ));
-        out.push_str("# HELP holistix_uptime_seconds Seconds since the server started.\n# TYPE holistix_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "holistix_uptime_seconds {}\n",
-            self.uptime().as_secs_f64()
-        ));
-
-        out.push_str("# HELP holistix_requests_total Requests received, by endpoint.\n# TYPE holistix_requests_total counter\n");
-        for &endpoint in &Endpoint::ALL {
-            out.push_str(&format!(
-                "holistix_requests_total{{endpoint=\"{}\"}} {}\n",
-                endpoint.name(),
-                self.requests[endpoint.index()].load(Ordering::Relaxed)
-            ));
+        let connections = &self.connections;
+        let admission = &self.admission;
+        let limits = *admission.limits.lock().expect("limits lock poisoned");
+        let thread_plan = *self.thread_plan.lock().expect("thread plan lock poisoned");
+        let fit = *self.fit.lock().expect("fit stats lock poisoned");
+        let queues = self.queues.lock().expect("queue list lock poisoned");
+        let texts: Vec<u64> = queues
+            .iter()
+            .map(|(_, _, q)| q.texts_scored.load(Ordering::Relaxed))
+            .collect();
+        let sizes: Vec<HistogramSnapshot> = queues
+            .iter()
+            .map(|(_, _, q)| q.batch_sizes.snapshot())
+            .collect();
+        let mut all_sizes = HistogramSnapshot::empty();
+        for snapshot in &sizes {
+            all_sizes.merge(snapshot);
         }
-        let scalar_counters: [(&str, &str, u64); 4] = [
-            (
+        let per_queue = |family: Family, read: &dyn Fn(usize, &QueueMetrics) -> Value| {
+            family
+                .labels(&["kind", "scorer_kind"])
+                .samples(
+                    queues
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (kind, scorer_kind, q))| {
+                            ([kind.as_str(), scorer_kind.as_str()], read(i, q))
+                        }),
+                )
+        };
+        let stages = ENDPOINT_NAMES.iter().flat_map(|&endpoint| {
+            STAGE_NAMES
+                .iter()
+                .enumerate()
+                .filter_map(move |(stage, &name)| {
+                    let snapshot = self.obs.stage_snapshot(endpoint, stage);
+                    (snapshot.count() > 0).then_some(([endpoint, name], Value::Histogram(snapshot)))
+                })
+        });
+        let limit = |read: fn(&AdmissionLimits) -> Value| limits.map(|l| ([""; 0], read(&l)));
+        let roles = ["pollers", "handlers", "queues"];
+        let planned = thread_plan
+            .into_iter()
+            .flat_map(|plan| roles.into_iter().zip(plan));
+
+        vec![
+            Family::gauge(
+                "holistix_build_info",
+                "Build metadata as labels; value is always 1.",
+                "",
+            )
+            .labels(&["version", "git"])
+            .samples([([version, git], Value::Int(1))]),
+            Family::gauge(
+                "holistix_uptime_seconds",
+                "Seconds since the server started.",
+                "uptime_s",
+            )
+            .value(Value::Float(self.uptime().as_secs_f64())),
+            Family::counter(
+                "holistix_requests_total",
+                "Requests received, by endpoint.",
+                "requests.{endpoint}",
+            )
+            .labels(&["endpoint"])
+            .with_json_total("requests.total")
+            .samples(Endpoint::ALL.map(|e| ([e.name()], int(&self.requests[e.index()])))),
+            Family::counter(
                 "holistix_error_responses_total",
                 "Responses with a 4xx/5xx status.",
-                self.error_responses.load(Ordering::Relaxed),
-            ),
-            (
+                "requests.errors",
+            )
+            .value(int(&self.error_responses)),
+            Family::counter(
                 "holistix_keepalive_reuses_total",
                 "Requests served on a reused keep-alive connection.",
-                self.keepalive_reuses.load(Ordering::Relaxed),
-            ),
-            (
+                "keepalive_reuses_total",
+            )
+            .value(int(&self.keepalive_reuses)),
+            Family::counter(
                 "holistix_texts_scored_total",
                 "Texts scored across all batch queues.",
-                self.texts_scored.load(Ordering::Relaxed),
-            ),
-            (
-                "holistix_reloads_total",
-                "Completed registry reloads.",
-                self.reloads_total.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, help, value) in scalar_counters {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-
-        out.push_str("# HELP holistix_connections_open Connections currently open.\n# TYPE holistix_connections_open gauge\n");
-        out.push_str(&format!(
-            "holistix_connections_open {}\n",
-            self.connections.open()
-        ));
-        let connection_counters: [(&str, &str, u64); 5] = [
-            (
+                "texts_scored",
+            )
+            .value(Value::Int(texts.iter().sum())),
+            Family::histogram(
+                "holistix_batch_size",
+                "Scored micro-batch sizes (texts per batch), all queues.",
+                "batches",
+            )
+            .value(Value::Sizes(all_sizes)),
+            Family::histogram(
+                "holistix_request_latency_us",
+                "End-to-end request latency (parse done to last byte written), microseconds.",
+                "latency_us",
+            )
+            .value(Value::Histogram(self.request_latency.snapshot())),
+            Family::histogram(
+                "holistix_stage_duration_us",
+                "Per-stage request latency in microseconds.",
+                "stages.{endpoint}.{stage}",
+            )
+            .labels(&["endpoint", "stage"])
+            .samples(stages),
+            Family::gauge(
+                "holistix_connections_open",
+                "Connections currently open.",
+                "connections.open",
+            )
+            .value(int(&connections.open)),
+            Family::counter(
                 "holistix_connections_accepted_total",
                 "Connections accepted.",
-                self.connections.accepted_total.load(Ordering::Relaxed),
-            ),
-            (
+                "connections.accepted_total",
+            )
+            .value(int(&connections.accepted_total)),
+            Family::counter(
                 "holistix_connections_closed_total",
                 "Connections closed.",
-                self.connections.closed_total.load(Ordering::Relaxed),
-            ),
-            (
+                "connections.closed_total",
+            )
+            .value(int(&connections.closed_total)),
+            Family::counter(
                 "holistix_poll_wakeups_total",
                 "poll(2) returns reporting at least one ready fd.",
-                self.connections.wakeups_total.load(Ordering::Relaxed),
-            ),
-            (
+                "connections.wakeups_total",
+            )
+            .value(int(&connections.wakeups_total)),
+            Family::counter(
                 "holistix_pipelined_requests_total",
                 "Requests parsed while an earlier one was in flight.",
-                self.connections.pipelined_total(),
-            ),
-            (
+                "connections.pipelined_requests_total",
+            )
+            .value(int(&connections.pipelined_total)),
+            Family::counter(
                 "holistix_idle_timeout_evictions_total",
                 "Connections evicted by the idle-timeout wheel.",
-                self.connections.idle_evictions_total(),
+                "connections.idle_timeout_evictions_total",
+            )
+            .value(int(&connections.idle_evictions_total)),
+            Family::gauge(
+                "holistix_queue_depth_aggregate",
+                "Jobs queued across every kind's batch queue.",
+                "admission.aggregate_depth",
+            )
+            .value(int(&self.aggregate_depth)),
+            Family::gauge(
+                "holistix_intake_closed",
+                "1 while the global intake valve is closed (pollers not reading).",
+                "admission.intake_closed",
+            )
+            .value(Value::Flag(admission.intake_closed())),
+            Family::counter(
+                "holistix_intake_closures_total",
+                "Open-to-closed transitions of the intake valve.",
+                "admission.intake_closures_total",
+            )
+            .value(int(&admission.intake_closures_total)),
+            Family::counter(
+                "holistix_shed_total",
+                "Requests shed with 429, by endpoint and reason.",
+                "admission.shed.{endpoint}.{reason}",
+            )
+            .labels(&["endpoint", "reason"])
+            .with_json_total("admission.shed_total")
+            .samples(Endpoint::ALL.iter().flat_map(|&e| {
+                ShedReason::ALL.map(|r| {
+                    (
+                        [e.name(), r.name()],
+                        int(&admission.shed[e.index()][r.index()]),
+                    )
+                })
+            })),
+            Family::gauge(
+                "holistix_admission_queue_depth_limit",
+                "Configured per-kind queue depth cap.",
+                "admission.limits.max_queue_depth",
+            )
+            .samples(limit(|l| Value::Int(l.max_queue_depth))),
+            Family::gauge(
+                "holistix_admission_intake_limit",
+                "Aggregate depth at which the intake valve closes.",
+                "admission.limits.global_intake_limit",
+            )
+            .samples(limit(|l| Value::Int(l.global_intake_limit))),
+            Family::gauge(
+                "holistix_admission_explain_shed_depth",
+                "Aggregate depth at which /explain sheds.",
+                "admission.limits.explain_shed_depth",
+            )
+            .samples(limit(|l| Value::Int(l.explain_shed_depth))),
+            Family::gauge(
+                "holistix_admission_rate_per_s",
+                "Per-connection token-bucket refill rate, tokens per second.",
+                "admission.limits.rate_per_s",
+            )
+            .samples(limit(|l| {
+                l.rate_limit
+                    .map_or(Value::Unknown, |(r, _)| Value::Float(r))
+            })),
+            Family::gauge(
+                "holistix_admission_burst",
+                "Per-connection token-bucket capacity, tokens.",
+                "admission.limits.burst",
+            )
+            .samples(limit(|l| {
+                l.rate_limit
+                    .map_or(Value::Unknown, |(_, b)| Value::Float(b))
+            })),
+            Family::gauge(
+                "holistix_planned_threads",
+                "Threads the server was configured to run, by role.",
+                "threads.{role}",
+            )
+            .labels(&["role"])
+            .samples(planned.map(|(role, n)| ([role], Value::Int(n as u64)))),
+            Family::gauge(
+                "holistix_os_threads",
+                "Live OS threads in this process.",
+                "threads.os_threads",
+            )
+            .value(os_thread_count().map_or(Value::Unknown, Value::Int)),
+            per_queue(
+                Family::gauge(
+                    "holistix_queue_depth",
+                    "Jobs waiting in (or being scored from) the queue.",
+                    "queues.{kind}.depth",
+                ),
+                &|_, q| Value::Int(q.depth()),
             ),
-        ];
-        for (name, help, value) in connection_counters {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-        if let Some(threads) = os_thread_count() {
-            out.push_str("# HELP holistix_os_threads Live OS threads in this process.\n# TYPE holistix_os_threads gauge\n");
-            out.push_str(&format!("holistix_os_threads {threads}\n"));
-        }
-
-        out.push_str("# HELP holistix_shed_total Requests shed with 429, by endpoint and reason.\n# TYPE holistix_shed_total counter\n");
-        for &endpoint in &Endpoint::ALL {
-            for &reason in &ShedReason::ALL {
-                out.push_str(&format!(
-                    "holistix_shed_total{{endpoint=\"{}\",reason=\"{}\"}} {}\n",
-                    endpoint.name(),
-                    reason.name(),
-                    self.admission.shed_count(endpoint, reason)
-                ));
-            }
-        }
-        out.push_str("# HELP holistix_queue_depth_aggregate Jobs queued across every kind's batch queue.\n# TYPE holistix_queue_depth_aggregate gauge\n");
-        out.push_str(&format!(
-            "holistix_queue_depth_aggregate {}\n",
-            self.aggregate_queue_depth()
-        ));
-        out.push_str("# HELP holistix_intake_closed 1 while the global intake valve is closed (pollers not reading).\n# TYPE holistix_intake_closed gauge\n");
-        out.push_str(&format!(
-            "holistix_intake_closed {}\n",
-            self.admission.intake_closed() as u64
-        ));
-        out.push_str("# HELP holistix_intake_closures_total Open-to-closed transitions of the intake valve.\n# TYPE holistix_intake_closures_total counter\n");
-        out.push_str(&format!(
-            "holistix_intake_closures_total {}\n",
-            self.admission.intake_closures_total()
-        ));
-        if let Some(limits) = *self.admission.limits.lock().unwrap() {
-            let mut limit_gauges: Vec<(&str, &str, f64)> = vec![
-                (
-                    "holistix_admission_queue_depth_limit",
-                    "Configured per-kind queue depth cap.",
-                    limits.max_queue_depth as f64,
+            per_queue(
+                Family::counter(
+                    "holistix_queue_texts_scored_total",
+                    "Texts this queue has scored.",
+                    "queues.{kind}.texts_scored",
                 ),
-                (
-                    "holistix_admission_intake_limit",
-                    "Aggregate depth at which the intake valve closes.",
-                    limits.global_intake_limit as f64,
-                ),
-                (
-                    "holistix_admission_explain_shed_depth",
-                    "Aggregate depth at which /explain sheds.",
-                    limits.explain_shed_depth as f64,
-                ),
-            ];
-            if let Some((rate, burst)) = limits.rate_limit {
-                limit_gauges.push((
-                    "holistix_admission_rate_per_s",
-                    "Per-connection token-bucket refill rate, tokens per second.",
-                    rate,
-                ));
-                limit_gauges.push((
-                    "holistix_admission_burst",
-                    "Per-connection token-bucket capacity, tokens.",
-                    burst,
-                ));
-            }
-            for (name, help, value) in limit_gauges {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-                ));
-            }
-        }
-
-        let batch_snapshot = self.batches.histogram.snapshot();
-        if batch_snapshot.count() > 0 {
-            out.push_str("# HELP holistix_batch_size Scored micro-batch sizes (texts per batch), all queues.\n# TYPE holistix_batch_size histogram\n");
-            append_histogram(&mut out, "holistix_batch_size", "", &batch_snapshot);
-        }
-        let latency_snapshot = self.request_latency.snapshot();
-        if latency_snapshot.count() > 0 {
-            out.push_str("# HELP holistix_request_latency_us End-to-end request latency (parse done to last byte written), microseconds.\n# TYPE holistix_request_latency_us histogram\n");
-            append_histogram(
-                &mut out,
-                "holistix_request_latency_us",
-                "",
-                &latency_snapshot,
-            );
-        }
-
-        let queues = self.queues.lock().unwrap();
-        if !queues.is_empty() {
-            out.push_str("# HELP holistix_queue_depth Jobs waiting in (or being scored from) the queue.\n# TYPE holistix_queue_depth gauge\n");
-            for (kind, family, queue) in queues.iter() {
-                out.push_str(&format!(
-                    "holistix_queue_depth{{kind=\"{kind}\",scorer_kind=\"{family}\"}} {}\n",
-                    queue.depth()
-                ));
-            }
-            out.push_str("# HELP holistix_queue_texts_scored_total Texts this queue has scored.\n# TYPE holistix_queue_texts_scored_total counter\n");
-            for (kind, family, queue) in queues.iter() {
-                out.push_str(&format!(
-                    "holistix_queue_texts_scored_total{{kind=\"{kind}\",scorer_kind=\"{family}\"}} {}\n",
-                    queue.texts_scored.load(Ordering::Relaxed)
-                ));
-            }
-            // Per-kind histograms: only kinds with samples, and the TYPE line
-            // only when at least one kind has any.
-            type Selector = fn(&QueueMetrics) -> &LogHistogram;
-            let families: [(&str, &str, Selector); 3] = [
-                (
+                &|i, _| Value::Int(texts[i]),
+            ),
+            per_queue(
+                Family::histogram(
                     "holistix_queue_batch_size",
                     "Scored batch sizes for this queue.",
-                    |q| &q.batches.histogram,
+                    "queues.{kind}.batches",
                 ),
-                (
+                &|i, _| Value::Sizes(sizes[i].clone()),
+            ),
+            per_queue(
+                Family::histogram(
                     "holistix_queue_wait_us",
                     "Per-job wait from enqueue to batch drain, microseconds.",
-                    |q| &q.queue_wait,
+                    "queues.{kind}.queue_wait_us",
                 ),
-                (
+                &|_, q| Value::Histogram(q.queue_wait.snapshot()),
+            ),
+            per_queue(
+                Family::histogram(
                     "holistix_queue_score_us",
                     "Per-batch scoring call duration, microseconds.",
-                    |q| &q.score,
+                    "queues.{kind}.score_us",
                 ),
-            ];
-            for (name, help, select) in families {
-                let snapshots: Vec<(&str, &str, HistogramSnapshot)> = queues
-                    .iter()
-                    .map(|(kind, family, queue)| {
-                        (kind.as_str(), family.as_str(), select(queue).snapshot())
-                    })
-                    .filter(|(_, _, s)| s.count() > 0)
-                    .collect();
-                if snapshots.is_empty() {
-                    continue;
-                }
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-                for (kind, family, snapshot) in snapshots {
-                    append_histogram(
-                        &mut out,
-                        name,
-                        &format!("kind=\"{kind}\",scorer_kind=\"{family}\""),
-                        &snapshot,
-                    );
-                }
-            }
-        }
-        drop(queues);
-
-        self.obs.render_prometheus_into(&mut out);
-
-        if let Some(fit) = fit {
-            let fit_gauges: [(&str, &str, f64); 3] = [
-                (
-                    "holistix_registry_last_fit_us",
-                    "Duration of the registry's most recent fit, microseconds.",
-                    fit.duration.as_micros() as f64,
-                ),
-                (
-                    "holistix_registry_fit_shards",
-                    "Shards the most recent fit ran across.",
-                    fit.shards as f64,
-                ),
-                (
-                    "holistix_registry_corpus_size",
-                    "Posts in the corpus behind the serving registry.",
-                    fit.corpus_size as f64,
-                ),
-            ];
-            for (name, help, value) in fit_gauges {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-                ));
-            }
-        }
-        out
+                &|_, q| Value::Histogram(q.score.snapshot()),
+            ),
+            Family::counter(
+                "holistix_reloads_total",
+                "Completed registry reloads.",
+                "registry.reloads_total",
+            )
+            .value(int(&self.reloads_total)),
+            Family::gauge(
+                "holistix_registry_last_fit_us",
+                "Duration of the registry's most recent fit, microseconds.",
+                "registry.last_fit_us",
+            )
+            .value(Value::Int(fit.duration.as_micros() as u64)),
+            Family::gauge(
+                "holistix_registry_fit_shards",
+                "Shards the most recent fit ran across.",
+                "registry.fit_shards",
+            )
+            .value(Value::Int(fit.shards as u64)),
+            Family::gauge(
+                "holistix_registry_corpus_size",
+                "Posts in the corpus behind the serving registry.",
+                "registry.corpus_size",
+            )
+            .value(Value::Int(fit.corpus_size as u64)),
+        ]
     }
 }
 
@@ -1125,11 +948,16 @@ mod tests {
 
     #[test]
     fn batch_histogram_tracks_sizes_and_texts() {
+        // The cross-queue aggregates are merged from the per-queue sections.
         let metrics = ServeMetrics::new();
-        metrics.record_batch(1);
-        metrics.record_batch(4);
-        metrics.record_batch(4);
-        metrics.record_batch(0); // ignored
+        let lr = metrics.queue("LR", "classical");
+        let bert = metrics.queue("BERT", "transformer");
+        assert!(lr.try_admit(5, 5) && bert.try_admit(4, 4));
+        lr.record_batch(1, &[1], 10);
+        lr.record_batch(4, &[1; 4], 10);
+        bert.record_batch(4, &[1; 4], 10);
+        lr.record_batch(0, &[], 10); // ignored
+        assert_eq!(metrics.aggregate_queue_depth(), 0);
         assert_eq!(metrics.max_batch_size(), 4);
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.get("texts_scored").unwrap().as_f64(), Some(9.0));
@@ -1165,6 +993,10 @@ mod tests {
             .obs()
             .stage_snapshot("predict", TraceStamp::WriteDone as usize);
         assert_eq!(write.count(), 100);
+        // The JSON `stages` section lists only endpoints with traces.
+        let stages = snapshot.get("stages").unwrap();
+        assert!(stages.get("predict").unwrap().get("write").is_some());
+        assert_eq!(stages.get("healthz"), None);
     }
 
     #[test]
@@ -1291,21 +1123,32 @@ mod tests {
     #[test]
     fn registry_fit_stats_round_trip_through_snapshot() {
         let metrics = ServeMetrics::new();
-        // Without a registry, the section carries counters only.
+        // Before any fit is recorded, the section reports zeros.
         let bare = metrics.snapshot();
         let section = bare.get("registry").unwrap();
         assert_eq!(section.get("reloads_total").unwrap().as_f64(), Some(0.0));
-        assert_eq!(section.get("last_fit_us"), None);
+        assert_eq!(section.get("last_fit_us").unwrap().as_f64(), Some(0.0));
 
-        metrics.record_reload();
-        metrics.record_reload();
-        assert_eq!(metrics.reloads_total(), 2);
+        let startup = FitStats {
+            duration: Duration::from_micros(900),
+            shards: 1,
+            corpus_size: 90,
+        };
+        metrics.record_fit(startup);
+        let section = metrics.snapshot().get("registry").unwrap().clone();
+        assert_eq!(section.get("reloads_total").unwrap().as_f64(), Some(0.0));
+        assert_eq!(section.get("corpus_size").unwrap().as_f64(), Some(90.0));
+
+        // Each reload counts and replaces the stats with its own fit's.
         let fit = FitStats {
-            duration: std::time::Duration::from_micros(12_500),
+            duration: Duration::from_micros(12_500),
             shards: 4,
             corpus_size: 2_000,
         };
-        let snapshot = metrics.snapshot_with_fit(&fit);
+        metrics.record_reload(startup);
+        metrics.record_reload(fit);
+        assert_eq!(metrics.reloads_total(), 2);
+        let snapshot = metrics.snapshot();
         let section = snapshot.get("registry").unwrap();
         assert_eq!(section.get("reloads_total").unwrap().as_f64(), Some(2.0));
         assert_eq!(section.get("last_fit_us").unwrap().as_f64(), Some(12_500.0));
@@ -1321,26 +1164,27 @@ mod tests {
         metrics.record_request(Endpoint::Metrics);
         metrics.record_error();
         metrics.record_keepalive_reuse();
-        metrics.record_batch(3);
-        metrics.record_batch(40); // a log2-bucketed size
         let lr = metrics.queue("LR", "classical");
         for _ in 0..3 {
             lr.record_enqueued();
         }
         lr.record_batch(3, &[15, 40, 1000], 900);
+        let bert = metrics.queue("BERT", "transformer");
+        assert!(bert.try_admit(40, 40));
+        bert.record_batch(40, &[5; 40], 9_000); // a log2-bucketed size
         finalize_total(&metrics, Endpoint::Predict, Duration::from_micros(480));
         metrics.set_thread_plan(2, 4, 1);
-        let fit = FitStats {
+        metrics.record_fit(FitStats {
             duration: Duration::from_micros(7_000),
             shards: 2,
             corpus_size: 90,
-        };
+        });
 
-        let text = metrics.render_prometheus(Some(&fit));
+        let text = metrics.render_prometheus();
         validate_exposition(&text).expect("valid exposition");
 
         // Counters agree with the JSON snapshot.
-        let json = metrics.snapshot_with_fit(&fit);
+        let json = metrics.snapshot();
         let predict_json = json
             .get("requests")
             .unwrap()
@@ -1382,7 +1226,7 @@ mod tests {
         quant.record_enqueued();
         quant.record_batch(1, &[60], 2_000);
 
-        let text = metrics.render_prometheus(None);
+        let text = metrics.render_prometheus();
         validate_exposition(&text).expect("valid exposition with scorer_kind labels");
         for (kind, family) in [
             ("LR", "classical"),
@@ -1411,7 +1255,7 @@ mod tests {
         // returns the original handle and never forks the series.
         let again = metrics.queue("LR", "quantized");
         assert!(Arc::ptr_eq(&lr, &again));
-        let text = metrics.render_prometheus(None);
+        let text = metrics.render_prometheus();
         assert!(text.contains("kind=\"LR\",scorer_kind=\"classical\""));
         assert!(!text.contains("kind=\"LR\",scorer_kind=\"quantized\""));
 
@@ -1430,7 +1274,7 @@ mod tests {
         // No traffic at all: histograms are omitted, counters are zero, and
         // the exposition still validates (no TYPE line without samples).
         let metrics = ServeMetrics::new();
-        let text = metrics.render_prometheus(None);
+        let text = metrics.render_prometheus();
         validate_exposition(&text).expect("valid empty exposition");
         assert!(!text.contains("holistix_request_latency_us"));
         assert!(text.contains("holistix_requests_total{endpoint=\"predict\"} 0"));
@@ -1536,7 +1380,7 @@ mod tests {
         assert_eq!(limits.get("rate_per_s").unwrap().as_f64(), Some(10.0));
         assert_eq!(limits.get("burst").unwrap().as_f64(), Some(4.0));
 
-        let text = metrics.render_prometheus(None);
+        let text = metrics.render_prometheus();
         validate_exposition(&text).expect("valid exposition");
         assert!(text.contains("holistix_shed_total{endpoint=\"predict\",reason=\"queue_full\"} 2"));
         assert!(text.contains("holistix_shed_total{endpoint=\"explain\",reason=\"degraded\"} 1"));

@@ -274,30 +274,6 @@ impl HistogramSnapshot {
             .filter(|(_, &count)| count > 0)
             .map(|(index, &count)| (bucket_upper_bound(index), count))
     }
-
-    /// `{"count": n, "p50": …, "p99": …, "p999": …, "max": …, "mean": …}`
-    /// (percentiles `null` when empty) — the JSON shape `/metrics` serves for
-    /// every latency histogram.
-    pub fn to_json(&self) -> JsonValue {
-        let pct = |q: f64| match self.percentile(q) {
-            Some(v) => JsonValue::Number(v as f64),
-            None => JsonValue::Null,
-        };
-        JsonValue::object(vec![
-            ("count", JsonValue::Number(self.count() as f64)),
-            ("p50", pct(0.50)),
-            ("p99", pct(0.99)),
-            ("p999", pct(0.999)),
-            ("max", JsonValue::Number(self.max as f64)),
-            (
-                "mean",
-                match self.mean() {
-                    Some(m) => JsonValue::Number(m),
-                    None => JsonValue::Null,
-                },
-            ),
-        ])
-    }
 }
 
 /// The instrumented boundary crossings of one request, in stamp order.
@@ -646,53 +622,6 @@ impl Obs {
     /// bench.
     pub fn stage_snapshot(&self, endpoint: &str, stage: usize) -> HistogramSnapshot {
         self.endpoint_stages[Self::endpoint_index(endpoint)][stage].snapshot()
-    }
-
-    /// The `stages` section of the JSON `/metrics` document:
-    /// `{endpoint: {stage: {count, p50, p99, p999, …}}}` for endpoints with
-    /// at least one finalized trace.
-    pub fn stages_json(&self) -> JsonValue {
-        let fields: Vec<(String, JsonValue)> = ENDPOINT_NAMES
-            .iter()
-            .enumerate()
-            .filter_map(|(endpoint_index, &endpoint)| {
-                let stages: Vec<(String, JsonValue)> = self.endpoint_stages[endpoint_index]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, histogram)| histogram.count() > 0)
-                    .map(|(stage, histogram)| {
-                        (
-                            STAGE_NAMES[stage].to_string(),
-                            histogram.snapshot().to_json(),
-                        )
-                    })
-                    .collect();
-                (!stages.is_empty()).then(|| (endpoint.to_string(), JsonValue::Object(stages)))
-            })
-            .collect();
-        JsonValue::Object(fields)
-    }
-
-    /// Append the per-endpoint stage histograms to a Prometheus exposition
-    /// (`holistix_stage_duration_us{endpoint,stage}`).
-    pub fn render_prometheus_into(&self, out: &mut String) {
-        let mut any = false;
-        for (endpoint_index, &endpoint) in ENDPOINT_NAMES.iter().enumerate() {
-            for (stage, histogram) in self.endpoint_stages[endpoint_index].iter().enumerate() {
-                let snapshot = histogram.snapshot();
-                if snapshot.count() == 0 {
-                    continue;
-                }
-                if !any {
-                    out.push_str(
-                        "# HELP holistix_stage_duration_us Per-stage request latency in microseconds.\n# TYPE holistix_stage_duration_us histogram\n",
-                    );
-                    any = true;
-                }
-                let labels = format!("endpoint=\"{endpoint}\",stage=\"{}\"", STAGE_NAMES[stage]);
-                append_histogram(out, "holistix_stage_duration_us", &labels, &snapshot);
-            }
-        }
     }
 }
 
@@ -1081,9 +1010,6 @@ mod tests {
         assert_eq!(write.percentile(0.5), Some(40));
         // Other endpoints untouched.
         assert_eq!(obs.stage_snapshot("healthz", 0).count(), 0);
-        let stages = obs.stages_json();
-        assert!(stages.get("predict").is_some());
-        assert_eq!(stages.get("healthz"), None);
     }
 
     #[test]

@@ -52,8 +52,9 @@ impl Default for RegistryConfig {
     }
 }
 
-/// Statistics from the most recent registry fit, exposed by `GET /metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Statistics from the most recent registry fit, exposed by `GET /metrics`
+/// (all zero for a registry that was not fitted here).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitStats {
     /// Wall-clock time of the whole fit (all kinds, fan-out included).
     pub duration: Duration,
@@ -61,16 +62,6 @@ pub struct FitStats {
     pub shards: usize,
     /// Number of training documents.
     pub corpus_size: usize,
-}
-
-impl FitStats {
-    fn none() -> Self {
-        Self {
-            duration: Duration::ZERO,
-            shards: 0,
-            corpus_size: 0,
-        }
-    }
 }
 
 /// Warm fitted scorers, keyed by [`BaselineKind`]. Immutable once built;
@@ -184,7 +175,7 @@ impl ModelRegistry {
             entries,
             profile: SpeedProfile::Fast,
             seed: 0,
-            stats: FitStats::none(),
+            stats: FitStats::default(),
         }
     }
 
@@ -430,7 +421,7 @@ mod tests {
         ));
         let registry = ModelRegistry::from_scorers(vec![lr.clone() as Arc<dyn Scorer>]);
         assert_eq!(registry.kinds(), vec![BaselineKind::LogisticRegression]);
-        assert_eq!(registry.fit_stats(), FitStats::none());
+        assert_eq!(registry.fit_stats(), FitStats::default());
         let served = registry.get(BaselineKind::LogisticRegression).unwrap();
         assert_eq!(
             served.probabilities_one(texts[0]),

@@ -215,6 +215,7 @@ pub fn serve(
     let local_addr = listener.local_addr()?;
     let running = Arc::new(AtomicBool::new(true));
     let metrics = Arc::new(ServeMetrics::new());
+    metrics.record_fit(registry.fit_stats());
     let registry = SharedRegistry::new(registry);
     let mut wakers = Vec::new();
     let mut readers = Vec::new();
@@ -328,7 +329,7 @@ fn serve_loop(
 
     crossbeam::thread::scope(|scope| {
         for queue in queues {
-            scope.spawn(move |_| queue.run(registry, metrics));
+            scope.spawn(move |_| queue.run(registry));
         }
 
         for _ in 0..n_handlers {
@@ -697,18 +698,15 @@ fn route(request: &Request, context: &RequestContext<'_>, trace: &mut RequestTra
     match endpoint {
         Endpoint::Health => handle_healthz(context),
         Endpoint::Metrics => {
-            // Fit stats come straight off the live registry, so this can never
-            // disagree with the models actually serving.
-            let fit = context.registry.current().fit_stats();
             // Content negotiation: Prometheus text when asked for via
             // `?format=prometheus` or an `Accept` admitting text/plain; the
-            // JSON document otherwise (shape unchanged since PR 4).
+            // JSON document otherwise.
             if request.query_param("format") == Some("prometheus")
                 || request.accept.to_ascii_lowercase().contains("text/plain")
             {
-                Response::text(200, context.metrics.render_prometheus(Some(&fit)))
+                Response::text(200, context.metrics.render_prometheus())
             } else {
-                Response::ok(context.metrics.snapshot_with_fit(&fit).to_string())
+                Response::ok(context.metrics.snapshot().to_string())
             }
         }
         Endpoint::DebugSlow => {
@@ -1026,8 +1024,9 @@ fn handle_reload(body: &str, context: &RequestContext<'_>) -> Response {
             &labels,
             ThreadBudget::new(reload_fit_threads()),
         );
+        let fit = fresh.fit_stats();
         shared.swap(fresh);
-        metrics.record_reload();
+        metrics.record_reload(fit);
     });
     Response::json(
         202,
