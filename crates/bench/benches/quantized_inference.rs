@@ -11,7 +11,7 @@
 //! deployment gets by registering the `-i8` sibling kind.
 //!
 //! Headline numbers (mean per-text latency for both paths, both shapes, plus
-//! the batched speedup and the measured `cost_hint`s) are merged into the
+//! the batched speedup) are merged into the
 //! `inference` section of `BENCH_transformer.json` at the repository root so
 //! successive runs can be compared; `transformer_fit` owns the file's `fit`
 //! section. Correctness (100% label agreement on the seeded eval set, drift
@@ -115,11 +115,6 @@ fn bench_quantized_inference(c: &mut Criterion) {
         batched_f64.as_secs_f64() * 1e6,
         batched_i8.as_secs_f64() * 1e6,
     );
-    println!(
-        "cost hints  : f64 {} us (declared)  i8 {} us (measured)",
-        f64_scorer.cost_hint().as_micros(),
-        i8_scorer.cost_hint().as_micros(),
-    );
 
     let section = JsonValue::object(vec![
         ("model", JsonValue::string(ModelKind::MentalBert.name())),
@@ -144,14 +139,6 @@ fn bench_quantized_inference(c: &mut Criterion) {
         ),
         ("single_speedup", JsonValue::Number(single_speedup)),
         ("batched_speedup", JsonValue::Number(batched_speedup)),
-        (
-            "cost_hint_f64_us",
-            JsonValue::Number(f64_scorer.cost_hint().as_micros() as f64),
-        ),
-        (
-            "cost_hint_i8_us",
-            JsonValue::Number(i8_scorer.cost_hint().as_micros() as f64),
-        ),
     ]);
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transformer.json");
     merge_section(out_path, "inference", section);

@@ -69,10 +69,7 @@ fn main() {
         registry,
         ServeConfig {
             handlers: HANDLERS,
-            batch: BatchConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(1),
-            },
+            batch: BatchConfig { max_batch: 64 },
             // Queue cap below the handler count: each request holds a slot
             // while a handler scores it, so once offered load exceeds what
             // the handlers drain, depth pins at the cap and the overflow is

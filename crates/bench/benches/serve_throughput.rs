@@ -1,5 +1,4 @@
-//! Serving-layer throughput: requests/s vs [`BatchConfig::max_wait`] over
-//! keep-alive connections.
+//! Serving-layer throughput: requests/s over keep-alive connections.
 //!
 //! This is the ROADMAP's "once keep-alive lands" bench: with one request per
 //! connection, TCP setup/teardown dominated and the batching knobs were
@@ -11,12 +10,9 @@
 //! The corpus is the paper-scale one the other serving benches use: the
 //! Table I lexicon augmented with a 12k-term synthetic vocabulary
 //! (`HolistixCorpus::augment_vocabulary`), so per-text scoring cost is
-//! realistic. The sweep varies the LR queue's coalescing window
-//! (`max_wait` 0/1/2/5/10 ms) under concurrent keep-alive clients; wider
-//! windows assemble bigger batches (fewer, better-amortised scoring calls)
-//! at the price of per-request latency. The headline table prints requests/s
-//! and the mean scored-batch size per setting so the trade-off is visible in
-//! one run; criterion per-iteration timings follow.
+//! realistic. The headline run drives concurrent keep-alive clients against
+//! the default batch queue and prints requests/s and the mean scored-batch
+//! size; criterion per-iteration timings follow.
 //!
 //! Since the connection-multiplexer redesign there is a second headline
 //! sweep: requests/s and resident OS thread count as a function of **idle
@@ -42,8 +38,8 @@ use holistix::prelude::*;
 use holistix::transformer::ModelKind;
 use holistix_bench::report::merge_section;
 use holistix_serve::{
-    os_thread_count, serve, AdmissionConfig, BatchConfig, HttpClient, KeepAliveConfig,
-    ModelRegistry, ServeConfig, ServerHandle,
+    os_thread_count, serve, AdmissionConfig, HttpClient, KeepAliveConfig, ModelRegistry,
+    ServeConfig, ServerHandle,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -60,14 +56,10 @@ const CLIENTS: usize = 4;
 /// Requests each client issues per measured run.
 const REQUESTS_PER_CLIENT: usize = 50;
 
-/// Start a server with the given LR-queue window, fitted once on the
-/// augmented corpus (the registry is fitted per call because the server owns
-/// it; fit cost is outside the measured request loops).
-fn start_server(
-    corpus: &HolistixCorpus,
-    max_wait: Duration,
-    idle_timeout: Duration,
-) -> ServerHandle {
+/// Start an LR server fitted on the augmented corpus (the registry is fitted
+/// per call because the server owns it; fit cost is outside the measured
+/// request loops).
+fn start_server(corpus: &HolistixCorpus, idle_timeout: Duration) -> ServerHandle {
     let texts = corpus.texts();
     let labels = corpus.label_indices();
     let registry = ModelRegistry::fit(
@@ -79,10 +71,6 @@ fn start_server(
     );
     let config = ServeConfig {
         handlers: CLIENTS + 2,
-        batch: BatchConfig {
-            max_batch: 64,
-            max_wait,
-        },
         keep_alive: KeepAliveConfig {
             idle_timeout,
             ..KeepAliveConfig::default()
@@ -177,9 +165,9 @@ fn drive_model(
 
 /// The long-promised real-slow-backend sweep: a `Fast`-profile MentalBERT
 /// analogue and its i8-quantized sibling registered beside LR via
-/// [`ModelRegistry::from_scorers`], so per-kind queue isolation,
-/// [`BatchConfig::sized_for`] and `explain_shed_depth` degradation are
-/// measured against a genuinely slow scorer instead of a flag-gated stub.
+/// [`ModelRegistry::from_scorers`], so per-kind queue isolation and
+/// `explain_shed_depth` degradation are measured against a genuinely slow
+/// scorer instead of a flag-gated stub.
 /// Returns the sweep's JSON section for the trajectory files.
 fn real_backend_sweep() -> JsonValue {
     let corpus = HolistixCorpus::generate_small(120, 7);
@@ -213,10 +201,6 @@ fn real_backend_sweep() -> JsonValue {
         ]);
         let config = ServeConfig {
             handlers: CLIENTS + 2,
-            batch: BatchConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(1),
-            },
             admission: AdmissionConfig {
                 max_queue_depth: 512,
                 global_intake_limit: 4096,
@@ -230,12 +214,8 @@ fn real_backend_sweep() -> JsonValue {
 
     // Per-kind throughput, each kind on a fresh server so queue metrics and
     // warmup effects never bleed across arms. The f64-vs-i8 ratio is the
-    // serving-level quantization speedup, which compounds two effects: the
-    // cheaper i8 kernels, and the i8 scorer's *measured* cost hint keeping
-    // its coalescing window near the base 1 ms while the f64 kind's declared
-    // 50 ms hint stretches its window via `sized_for` (at this client count
-    // the f64 queue is window-bound — exactly how a production registry
-    // would behave with these hints).
+    // serving-level quantization speedup: both queues drain the same way, so
+    // it is the kernels' ratio diluted by the serving stack's shared cost.
     let requests = 25usize;
     let total = (CLIENTS * requests) as f64;
     let mut req_per_s = Vec::new();
@@ -253,8 +233,8 @@ fn real_backend_sweep() -> JsonValue {
 
     // Queue isolation: half the clients hammer the slow f64 transformer while
     // the other half run LR. LR requests must never wait behind transformer
-    // batches — its queue-wait p99 stays within its own coalescing window,
-    // not the transformer's service time.
+    // batches — its queue-wait p99 stays near its own scoring time, not the
+    // transformer's service time.
     let server = start();
     let addr = server.addr();
     crossbeam::thread::scope(|scope| {
@@ -369,44 +349,37 @@ fn bench_serve_throughput(c: &mut Criterion) {
     corpus.augment_vocabulary(AUGMENT_TERMS, AUGMENT_WORDS_PER_POST, 42);
     let pool: Vec<String> = corpus.texts().iter().map(|t| t.to_string()).collect();
 
-    let waits = [0u64, 1, 2, 5, 10];
     let total_requests = (CLIENTS * REQUESTS_PER_CLIENT) as f64;
 
-    // Headline requests/s table (criterion per-iteration timings below).
+    // Headline requests/s (criterion per-iteration timings below).
     println!(
         "serve_throughput: {CLIENTS} keep-alive clients x {REQUESTS_PER_CLIENT} requests, \
          12k-term vocabulary"
     );
-    for &wait_ms in &waits {
-        let server = start_server(
-            &corpus,
-            Duration::from_millis(wait_ms),
-            Duration::from_secs(5),
-        );
-        let elapsed = drive(server.addr(), &pool);
-        let metrics = server.metrics();
-        let reuses = metrics.keepalive_reuses_total();
-        let snapshot = metrics.snapshot();
-        let batches = snapshot.get("batches").unwrap();
-        let batch_count = batches.get("count").unwrap().as_f64().unwrap();
-        let scored = snapshot.get("texts_scored").unwrap().as_f64().unwrap();
-        let mean_batch = if batch_count > 0.0 {
-            scored / batch_count
-        } else {
-            0.0
-        };
-        assert!(
-            reuses as f64 >= total_requests - CLIENTS as f64,
-            "clients reconnected: only {reuses} reuses"
-        );
-        println!(
-            "max_wait {wait_ms:>2} ms: {:>7.0} req/s  (mean batch {:.2}, {} reuses)",
-            total_requests / elapsed.as_secs_f64(),
-            mean_batch,
-            reuses
-        );
-        server.shutdown();
-    }
+    let server = start_server(&corpus, Duration::from_secs(5));
+    let elapsed = drive(server.addr(), &pool);
+    let metrics = server.metrics();
+    let reuses = metrics.keepalive_reuses_total();
+    let snapshot = metrics.snapshot();
+    let batches = snapshot.get("batches").unwrap();
+    let batch_count = batches.get("count").unwrap().as_f64().unwrap();
+    let scored = snapshot.get("texts_scored").unwrap().as_f64().unwrap();
+    let mean_batch = if batch_count > 0.0 {
+        scored / batch_count
+    } else {
+        0.0
+    };
+    assert!(
+        reuses as f64 >= total_requests - CLIENTS as f64,
+        "clients reconnected: only {reuses} reuses"
+    );
+    println!(
+        "{:>7.0} req/s  (mean batch {:.2}, {} reuses)",
+        total_requests / elapsed.as_secs_f64(),
+        mean_batch,
+        reuses
+    );
+    server.shutdown();
 
     // The multiplexer's headline: park 100 → 2 000 idle keep-alive clients on
     // one server and re-measure active-client throughput and the process's OS
@@ -416,7 +389,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // One server for the whole sweep (so the thread-count comparison is
     // apples-to-apples) with a long idle timeout so the parked clients are
     // not evicted mid-measurement.
-    let server = start_server(&corpus, Duration::from_millis(2), Duration::from_secs(600));
+    let server = start_server(&corpus, Duration::from_secs(600));
     let addr = server.addr();
     println!("serve_idle_sweep: {CLIENTS} active clients against parked idle connections");
     let mut trajectory: Vec<JsonValue> = Vec::new();
@@ -494,18 +467,10 @@ fn bench_serve_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(10);
-    for &wait_ms in &waits {
-        let server = start_server(
-            &corpus,
-            Duration::from_millis(wait_ms),
-            Duration::from_secs(5),
-        );
-        let addr = server.addr();
-        group.bench_function(format!("keepalive_predict_wait_{wait_ms}ms"), |b| {
-            b.iter(|| drive(addr, &pool))
-        });
-        server.shutdown();
-    }
+    let server = start_server(&corpus, Duration::from_secs(5));
+    let addr = server.addr();
+    group.bench_function("keepalive_predict", |b| b.iter(|| drive(addr, &pool)));
+    server.shutdown();
     group.finish();
 }
 

@@ -15,7 +15,7 @@
 //!   [`BaselinePipeline`] type that plugs into the cross-validation driver, and the
 //!   fitted-model type used for prediction and LIME explanation;
 //! * [`scorer`] — the object-safe [`Scorer`] trait every servable model implements
-//!   (batched probabilities + kind + cost hint), the seam the `holistix-serve`
+//!   (batched probabilities + kind), the seam the `holistix-serve`
 //!   registry and per-kind batch queues are built on, with implementations for
 //!   [`FittedBaseline`] and the trainer-wrapping [`TransformerScorer`];
 //! * [`experiments`] — one runner per table/figure of the paper: dataset statistics

@@ -149,10 +149,15 @@ where
     T: Send,
     F: Fn(&[&str]) -> T + Sync,
 {
+    if texts.len() <= SCORE_BATCH {
+        return vec![score(texts)];
+    }
+    // Asked only past the short-circuit: std re-reads the cgroup CPU quota on
+    // every call, which costs more than scoring one classical text.
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    if texts.len() <= SCORE_BATCH || threads < 2 {
+    if threads < 2 {
         return vec![score(texts)];
     }
     let n_chunks = threads.min(texts.len().div_ceil(SCORE_BATCH));

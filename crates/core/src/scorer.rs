@@ -14,10 +14,7 @@
 //! * [`labels`](Scorer::labels) — the class labels the probability columns map
 //!   to (the six wellness-dimension codes for every paper model);
 //! * [`kind`](Scorer::kind) — which Table IV baseline the scorer serves, the
-//!   registry key;
-//! * [`cost_hint`](Scorer::cost_hint) — expected per-text scoring latency, the
-//!   knob per-kind batch queues size their drain windows from (a ~50 ms
-//!   transformer batch wants a wider coalescing window than a ~200 µs LR one).
+//!   registry key.
 //!
 //! Two implementations ship here: [`FittedBaseline`] (classical sparse path
 //! *and* the trainer-backed transformer arm) and [`TransformerScorer`], a thin
@@ -32,7 +29,7 @@ use holistix_corpus::ALL_DIMENSIONS;
 use holistix_explain::ProbabilityModel;
 use holistix_transformer::{ModelKind, QuantizedTransformer, Trainer};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// An object-safe, thread-shareable scorer: the only interface the serving
 /// stack (registry, batch queues, explain handlers) knows about.
@@ -44,10 +41,12 @@ pub trait Scorer: Send + Sync {
     /// Which Table IV baseline this scorer serves (the registry key).
     fn kind(&self) -> BaselineKind;
 
-    /// Expected per-text scoring latency, used to size the scorer's batch
-    /// queue: expensive scorers get wider coalescing windows because waiting
-    /// a little longer is cheap relative to their batch service time.
-    fn cost_hint(&self) -> Duration;
+    /// Unused: nothing in the workspace reads it. It survives, returning
+    /// zero, only because the `holibench` benchmark's scorer wrapper
+    /// implements it, and goes when that benchmark is next redefined.
+    fn cost_hint(&self) -> Duration {
+        Duration::ZERO
+    }
 
     /// The class labels the probability columns map to, in column order. Every
     /// paper model scores the six wellness dimensions; a scorer for a
@@ -82,14 +81,6 @@ impl ProbabilityModel for dyn Scorer {
     }
 }
 
-/// Expected per-text latency of the classical sparse path (vectorise one row,
-/// one sparse dot per class): order of a few hundred microseconds.
-pub(crate) const CLASSICAL_COST_HINT: Duration = Duration::from_micros(200);
-
-/// Expected per-text latency of a transformer analogue forward pass: order of
-/// tens of milliseconds.
-pub(crate) const TRANSFORMER_COST_HINT: Duration = Duration::from_millis(50);
-
 impl Scorer for FittedBaseline {
     fn probabilities(&self, texts: &[&str]) -> Vec<Vec<f64>> {
         FittedBaseline::probabilities(self, texts)
@@ -99,13 +90,6 @@ impl Scorer for FittedBaseline {
         match self {
             FittedBaseline::Classical { kind, .. } => *kind,
             FittedBaseline::Transformer { trainer } => BaselineKind::Transformer(trainer.kind()),
-        }
-    }
-
-    fn cost_hint(&self) -> Duration {
-        match self {
-            FittedBaseline::Classical { .. } => CLASSICAL_COST_HINT,
-            FittedBaseline::Transformer { .. } => TRANSFORMER_COST_HINT,
         }
     }
 }
@@ -162,10 +146,6 @@ impl Scorer for TransformerScorer {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Transformer(self.trainer.kind())
     }
-
-    fn cost_hint(&self) -> Duration {
-        TRANSFORMER_COST_HINT
-    }
 }
 
 /// A [`Scorer`] serving a fitted transformer through weight-only i8 quantized
@@ -177,20 +157,10 @@ impl Scorer for TransformerScorer {
 /// probabilities drift from the f64 scorer by at most
 /// [`holistix_transformer::MAX_PROBABILITY_DRIFT`]; labels agree exactly on
 /// the seeded evaluation task (both asserted in tests).
-///
-/// The `cost_hint` is *measured at construction* — a few warm-up scores of a
-/// representative text — rather than assumed, so the serving layer's per-kind
-/// batch windows are sized from what this process actually does.
 pub struct QuantizedScorer {
     quantized: QuantizedTransformer,
     kind: BaselineKind,
-    cost_hint: Duration,
 }
-
-/// Text used to measure the construction-time `cost_hint`. Length is
-/// representative of the corpus (most sequences fill `max_len` anyway, and
-/// padded inference cost is length-independent).
-const COST_PROBE_TEXT: &str = "i feel exhausted and alone and the money worries never stop";
 
 impl QuantizedScorer {
     /// Quantize a fitted transformer scorer. The f64 scorer is left untouched
@@ -200,15 +170,9 @@ impl QuantizedScorer {
             .trainer()
             .model()
             .expect("TransformerScorer always holds a fitted trainer");
-        let quantized = QuantizedTransformer::from_classifier(model);
-        let kind = BaselineKind::QuantizedTransformer(scorer.trainer().kind());
-        let cost_hint = measure_cost_hint(|| {
-            let _ = quantized.predict_proba_text(COST_PROBE_TEXT);
-        });
         Self {
-            quantized,
-            kind,
-            cost_hint,
+            quantized: QuantizedTransformer::from_classifier(model),
+            kind: BaselineKind::QuantizedTransformer(scorer.trainer().kind()),
         }
     }
 
@@ -218,21 +182,6 @@ impl QuantizedScorer {
     }
 }
 
-/// Median-of-several wall-clock measurement of one scoring call: one warm-up,
-/// five timed runs, median picked to shrug off scheduler noise.
-fn measure_cost_hint(score_once: impl Fn()) -> Duration {
-    score_once();
-    let mut samples: Vec<Duration> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            score_once();
-            start.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2].max(Duration::from_micros(1))
-}
-
 impl Scorer for QuantizedScorer {
     fn probabilities(&self, texts: &[&str]) -> Vec<Vec<f64>> {
         self.quantized.predict_proba_texts(texts)
@@ -240,10 +189,6 @@ impl Scorer for QuantizedScorer {
 
     fn kind(&self) -> BaselineKind {
         self.kind
-    }
-
-    fn cost_hint(&self) -> Duration {
-        self.cost_hint
     }
 }
 
@@ -303,7 +248,6 @@ mod tests {
         assert_eq!(scorer.probabilities(&refs[..5]), direct);
         assert_eq!(scorer.probabilities_one(refs[0]), direct[0]);
         assert_eq!(scorer.kind(), BaselineKind::LogisticRegression);
-        assert!(scorer.cost_hint() < Duration::from_millis(1));
         assert_eq!(scorer.labels().len(), 6);
     }
 
@@ -330,7 +274,6 @@ mod tests {
             scorer.kind(),
             BaselineKind::Transformer(ModelKind::DistilBert)
         );
-        assert!(scorer.cost_hint() >= Duration::from_millis(1));
     }
 
     #[test]
@@ -408,20 +351,6 @@ mod tests {
         );
         // Batched scoring equals one-at-a-time scoring through the trait.
         assert_eq!(quant.probabilities_one(refs[0]), approx[0]);
-    }
-
-    #[test]
-    fn quantized_cost_hint_is_measured_and_sane() {
-        let (texts, labels) = training_data(40, 11);
-        let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-        let f64_scorer =
-            TransformerScorer::fit(ModelKind::DistilBert, SpeedProfile::Tiny, &refs, &labels, 3);
-        let quant = QuantizedScorer::from_transformer(&f64_scorer);
-        // Measured, not the 50 ms transformer constant: a tiny quantized model
-        // scores in well under a millisecond on any plausible hardware, and the
-        // hint must never be zero (the batcher divides by it).
-        assert!(quant.cost_hint() > Duration::ZERO);
-        assert!(quant.cost_hint() < TRANSFORMER_COST_HINT);
     }
 
     #[test]

@@ -1,23 +1,21 @@
 //! Per-kind batch queues: cross-request micro-batching without head-of-line
 //! blocking between models.
 //!
-//! Request worker threads never score texts themselves: they enqueue [`Job`]s
-//! and block on a per-job reply channel. The original design ran **one**
-//! batcher thread over one queue for every model, which meant a 50 ms
-//! transformer batch stalled the 200 µs logistic-regression batch queued
-//! behind it. Since the `Scorer` redesign each registered kind owns a
-//! [`BatchQueue`]: its own `mpsc` channel, its own drain loop on its own
-//! thread, and its own [`BatchConfig`] sized from the scorer's
-//! [`cost_hint`](holistix::Scorer::cost_hint) — expensive scorers coalesce
-//! over wider windows (waiting is cheap relative to their batch service
-//! time), cheap scorers keep the low-latency window. Queues share nothing but
-//! the registry handle and the metrics sink, so saturating one cannot delay
-//! another.
+//! Request worker threads never score texts themselves: each request's texts
+//! enter its model's queue as one [`Job`], and the worker blocks on that
+//! job's reply channel. Each registered kind owns a [`BatchQueue`]: its own
+//! `mpsc` channel and its own drain loop on its own thread, so a 50 ms
+//! transformer batch never stalls the logistic-regression batch queued behind
+//! it. Queues share nothing but the registry handle and the metrics sink, so
+//! saturating one cannot delay another.
 //!
-//! Each drain loop collects up to [`BatchConfig::max_batch`] texts (or
-//! whatever has accumulated when [`BatchConfig::max_wait`] elapses after the
-//! first), scores them with one [`Scorer::probabilities`] call, and fans the
-//! per-row results back out to the waiting workers.
+//! The drain is work-conserving. It blocks until a job arrives, takes
+//! whatever else is already queued until the batch holds
+//! [`BatchConfig::max_batch`] texts, and scores the lot with one
+//! [`Scorer::probabilities`](holistix::Scorer::probabilities) call. Nothing
+//! waits on a timer: requests that arrive while a batch scores form the next
+//! batch, so batches grow with load, and an idle queue scores a lone request
+//! at once. A request is never split across scorer calls.
 //!
 //! Batching is invisible in the results: `probabilities` rows depend only on
 //! their own text (a property the core pipeline tests pin), so coalescing
@@ -25,78 +23,45 @@
 
 use crate::metrics::{QueueMetrics, ServeMetrics};
 use crate::registry::SharedRegistry;
-use holistix::{BaselineKind, Scorer};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use holistix::BaselineKind;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Micro-batching knobs for one queue.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Largest batch the scheduler assembles before scoring.
+    /// Texts at which a drain stops taking queued requests. A request is
+    /// never split, so one multi-text request can carry a batch past this.
     pub max_batch: usize,
-    /// How long the scheduler waits for more texts after the first one arrives.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 32,
-            max_wait: Duration::from_millis(5),
-        }
+        Self { max_batch: 32 }
     }
 }
 
-/// Widest coalescing window a cost hint may stretch a queue to: even a very
-/// slow scorer should not hold a lone request for more than this.
-const MAX_COST_SIZED_WAIT: Duration = Duration::from_millis(100);
-
-impl BatchConfig {
-    /// Derive a queue's config from this base config and a scorer's expected
-    /// per-text cost: the coalescing window is at least one text's scoring
-    /// time (while one text scores, the next batch assembles for free — a
-    /// wider window trades no throughput for bigger, better-amortised
-    /// batches), never narrower than the base window, and capped at
-    /// [`MAX_COST_SIZED_WAIT`]. A ~200 µs classical scorer keeps the base
-    /// 5 ms window; a ~50 ms transformer queue widens to 50 ms.
-    pub fn sized_for(&self, cost_hint: Duration) -> BatchConfig {
-        BatchConfig {
-            max_batch: self.max_batch,
-            max_wait: self.max_wait.max(cost_hint.min(MAX_COST_SIZED_WAIT)),
-        }
-    }
-}
-
-/// One text awaiting scoring, with the channel its probabilities go back on.
-pub(crate) struct Job {
-    pub text: String,
-    pub reply: Sender<JobReply>,
+/// One request's texts awaiting scoring, with the channel their answer goes
+/// back on.
+struct Job {
+    texts: Vec<String>,
+    reply: Sender<JobReply>,
     /// When the job entered its queue, for per-queue latency percentiles.
-    pub enqueued: Instant,
+    enqueued: Instant,
 }
 
-/// One scored row on its way back to the waiting worker, carrying the batch
-/// timing the worker stamps into its request trace.
-pub(crate) struct JobReply {
-    /// The probability row (empty = the model was not loaded).
-    pub row: Vec<f64>,
-    /// When the drain loop pulled the batch out of the queue.
-    pub drained: Instant,
-    /// When the batch's `probabilities` call returned.
-    pub scored: Instant,
-}
+/// A job's answer: one probability row per text, plus the batch timing the
+/// worker stamps into its request trace.
+type JobReply = Result<(Vec<Vec<f64>>, BatchTiming), PredictError>;
 
-/// Batch-stage timing for one `predict_many` call: when its texts left the
-/// queue and when scoring finished. A multi-text request may span several
-/// batches; this is the envelope (earliest drain, latest score), which is
-/// what the request trace wants — the request's queue wait ends at the first
-/// drain and its scoring ends at the last row.
+/// Batch-stage timing for one request: when the drain loop took its batch
+/// out of the queue and when the batch's `probabilities` call returned.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchTiming {
-    /// Earliest batch drain among the request's texts.
+    /// When the request's batch left the queue.
     pub drained: Instant,
-    /// Latest scoring completion among the request's texts.
+    /// When the request's batch finished scoring.
     pub scored: Instant,
 }
 
@@ -120,7 +85,8 @@ pub enum PredictError {
     NotLoaded(String),
     /// The server is shutting down (the queue's receiver is gone).
     Shutdown,
-    /// The queue's drain loop died mid-request.
+    /// The queue's drain loop died mid-request, or the scorer answered the
+    /// wrong number of rows.
     Failed,
 }
 
@@ -142,8 +108,39 @@ struct QueueSender {
     kind: BaselineKind,
     sender: Sender<Job>,
     metrics: Arc<QueueMetrics>,
-    /// Admission cap: most jobs this queue may hold, queued or scoring.
+    /// Admission cap: most texts this queue may hold, queued or scoring.
     max_depth: u64,
+}
+
+impl QueueSender {
+    /// Reserve `texts.len()` slots against the depth cap and enqueue the
+    /// texts as one job; returns the channel its answer comes back on.
+    /// Admission is all-or-nothing ([`QueueMetrics::try_admit`]), so a
+    /// rejection ([`PredictError::QueueFull`]) leaves the queue untouched.
+    fn submit(&self, texts: Vec<String>) -> Result<Receiver<JobReply>, PredictError> {
+        let n = texts.len();
+        // Depth counts up strictly before the drain loop can see the job:
+        // incrementing after send() would let a fast drain score the job and
+        // decrement first, wrapping the unsigned depth gauge.
+        if !self.metrics.try_admit(n as u64, self.max_depth) {
+            return Err(PredictError::QueueFull {
+                kind: self.kind.name().to_string(),
+                depth: self.metrics.depth(),
+            });
+        }
+        let (reply, receiver) = std::sync::mpsc::channel();
+        let job = Job {
+            texts,
+            reply,
+            enqueued: Instant::now(),
+        };
+        if self.sender.send(job).is_err() {
+            // Nothing was queued: release the whole reservation.
+            self.metrics.record_dropped(n);
+            return Err(PredictError::Shutdown);
+        }
+        Ok(receiver)
+    }
 }
 
 /// Cloneable producer handle the request workers use to hand texts to the
@@ -158,16 +155,10 @@ impl BatcherHandle {
         self.queues.iter().find(|q| q.kind == kind)
     }
 
-    /// Score `texts` with the warm model for `kind` via its batch queue. All
-    /// jobs are enqueued before the first reply is awaited, so a multi-text
-    /// request forms (or joins) a batch as a whole. Returns the probability
-    /// rows plus the batch timing envelope for the caller's request trace
+    /// Score `texts` with the warm model for `kind` via its batch queue. The
+    /// texts travel as one job, so they are scored in one batch. Returns the
+    /// probability rows plus the batch timing for the caller's request trace
     /// (`None` when `texts` was empty — nothing was ever queued).
-    ///
-    /// Admission is all-or-nothing: the whole request's worth of slots is
-    /// reserved against the queue's depth cap up front
-    /// ([`QueueMetrics::try_admit`]), so a request never half-enqueues and a
-    /// rejection ([`PredictError::QueueFull`]) leaves the queue untouched.
     pub fn predict_many(
         &self,
         kind: BaselineKind,
@@ -176,55 +167,18 @@ impl BatcherHandle {
         let queue = self
             .queue(kind)
             .ok_or_else(|| PredictError::NotLoaded(kind.name().to_string()))?;
-        let jobs = texts.len() as u64;
-        // Depth counts up strictly before the drain loop can see any job:
-        // incrementing after send() would let a fast drain score the job and
-        // decrement first, wrapping the unsigned depth gauge.
-        if !queue.metrics.try_admit(jobs, queue.max_depth) {
-            return Err(PredictError::QueueFull {
-                kind: kind.name().to_string(),
-                depth: queue.metrics.depth(),
-            });
+        if texts.is_empty() {
+            return Ok((Vec::new(), None));
         }
-        let mut receivers = Vec::with_capacity(texts.len());
-        for (sent, text) in texts.into_iter().enumerate() {
-            let (reply, receiver) = std::sync::mpsc::channel();
-            if queue
-                .sender
-                .send(Job {
-                    text,
-                    reply,
-                    enqueued: Instant::now(),
-                })
-                .is_err()
-            {
-                // Release the reservation for this job and every unsent one;
-                // already-sent jobs are torn down by the shutdown drain.
-                queue.metrics.record_dropped((jobs as usize) - sent);
-                return Err(PredictError::Shutdown);
-            }
-            receivers.push(receiver);
+        let n = texts.len();
+        let (rows, timing) = queue
+            .submit(texts)?
+            .recv()
+            .map_err(|_| PredictError::Failed)??;
+        if rows.len() != n {
+            return Err(PredictError::Failed);
         }
-        let mut timing: Option<BatchTiming> = None;
-        let mut rows = Vec::with_capacity(receivers.len());
-        for rx in receivers {
-            let reply = rx.recv().map_err(|_| PredictError::Failed)?;
-            if reply.row.is_empty() {
-                return Err(PredictError::NotLoaded(kind.name().to_string()));
-            }
-            timing = Some(match timing {
-                None => BatchTiming {
-                    drained: reply.drained,
-                    scored: reply.scored,
-                },
-                Some(t) => BatchTiming {
-                    drained: t.drained.min(reply.drained),
-                    scored: t.scored.max(reply.scored),
-                },
-            });
-            rows.push(reply.row);
-        }
-        Ok((rows, timing))
+        Ok((rows, Some(timing)))
     }
 }
 
@@ -234,93 +188,90 @@ impl BatcherHandle {
 pub(crate) struct BatchQueue {
     kind: BaselineKind,
     receiver: Receiver<Job>,
-    config: BatchConfig,
+    max_batch: usize,
     metrics: Arc<QueueMetrics>,
 }
 
 impl BatchQueue {
-    /// The drain loop: recv → coalesce → score → fan out, until every producer
-    /// handle is dropped. The scorer is resolved once per batch from the
-    /// shared registry, so a `/reload` swap lands between batches: an
-    /// assembled batch always finishes on the scorer it started with.
+    /// The drain loop, until every producer handle is dropped: block for a
+    /// job, take whatever is already queued behind it until the batch holds
+    /// `max_batch` texts, score, answer. The scorer is resolved once per
+    /// batch from the shared registry, so a `/reload` swap lands between
+    /// batches: an assembled batch always finishes on the scorer it started
+    /// with.
     pub(crate) fn run(self, registry: &SharedRegistry) {
-        let max_batch = self.config.max_batch.max(1);
         while let Ok(first) = self.receiver.recv() {
-            let deadline = Instant::now() + self.config.max_wait;
+            let mut texts = first.texts.len();
             let mut jobs = vec![first];
-            while jobs.len() < max_batch {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
+            while texts < self.max_batch {
+                let Ok(job) = self.receiver.try_recv() else {
                     break;
-                }
-                match self.receiver.recv_timeout(remaining) {
-                    Ok(job) => jobs.push(job),
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
+                };
+                texts += job.texts.len();
+                jobs.push(job);
             }
-            self.score_batch(&jobs, registry);
+            self.score_batch(jobs, texts, registry);
         }
     }
 
-    /// Score one assembled batch with this queue's scorer (one batched
-    /// `probabilities` call) and reply to every job, carrying the batch's
-    /// drain and score instants so each waiting worker can stamp its trace.
-    fn score_batch(&self, jobs: &[Job], registry: &SharedRegistry) {
+    /// Score one assembled batch of `texts` texts with this queue's scorer
+    /// (one batched `probabilities` call) and answer every job, carrying the
+    /// batch's drain and score instants so each waiting worker can stamp its
+    /// trace.
+    fn score_batch(&self, jobs: Vec<Job>, texts: usize, registry: &SharedRegistry) {
         let drained = Instant::now();
-        let (rows, scored) = match registry.current().get(self.kind) {
-            Some(scorer) => {
-                let rows = score_jobs(scorer.as_ref(), jobs);
-                let scored = Instant::now();
-                let waits: Vec<u64> = jobs
-                    .iter()
-                    .map(|j| drained.duration_since(j.enqueued).as_micros() as u64)
-                    .collect();
-                let score_us = scored.duration_since(drained).as_micros() as u64;
-                self.metrics.record_batch(jobs.len(), &waits, score_us);
-                (rows, scored)
+        // The queue exists because the startup registry had this kind, and
+        // refits keep kinds — so a miss only happens if a swapped-in registry
+        // dropped the model. Answer rather than hang the workers, and record
+        // no batch: no model scored these texts.
+        let Some(scorer) = registry.current().get(self.kind) else {
+            self.metrics.record_dropped(texts);
+            for job in jobs {
+                let _ = job
+                    .reply
+                    .send(Err(PredictError::NotLoaded(self.kind.name().to_string())));
             }
-            // The queue exists because the startup registry had this kind, and
-            // refits keep kinds — so this only happens if a swapped-in registry
-            // dropped the model. Answer with the empty-row sentinel (which
-            // predict_many surfaces as an error) rather than hanging workers,
-            // and record no batch — no model scored these texts.
-            None => {
-                self.metrics.record_dropped(jobs.len());
-                (vec![Vec::new(); jobs.len()], drained)
-            }
+            return;
         };
-        for (job, row) in jobs.iter().zip(rows) {
+        let batch: Vec<&str> = jobs
+            .iter()
+            .flat_map(|job| job.texts.iter().map(String::as_str))
+            .collect();
+        let mut rows = scorer.probabilities(&batch).into_iter();
+        let scored = Instant::now();
+        // Queue-wait samples stay per text: each text waited as long as its job.
+        let waits: Vec<u64> = jobs
+            .iter()
+            .flat_map(|job| {
+                let wait = drained.duration_since(job.enqueued).as_micros() as u64;
+                std::iter::repeat_n(wait, job.texts.len())
+            })
+            .collect();
+        let score_us = scored.duration_since(drained).as_micros() as u64;
+        self.metrics.record_batch(texts, &waits, score_us);
+        let timing = BatchTiming { drained, scored };
+        for job in jobs {
+            let job_rows = rows.by_ref().take(job.texts.len()).collect();
             // A dropped receiver just means the client went away mid-request.
-            let _ = job.reply.send(JobReply {
-                row,
-                drained,
-                scored,
-            });
+            let _ = job.reply.send(Ok((job_rows, timing)));
         }
     }
-}
-
-fn score_jobs(scorer: &dyn Scorer, jobs: &[Job]) -> Vec<Vec<f64>> {
-    let texts: Vec<&str> = jobs.iter().map(|j| j.text.as_str()).collect();
-    scorer.probabilities(&texts)
 }
 
 /// Build one queue per registered scorer: the shared [`BatcherHandle`] for the
-/// worker pool and the [`BatchQueue`]s for the server to spawn, each queue's
-/// window sized from its scorer's cost hint via [`BatchConfig::sized_for`].
-/// `max_depth` is the per-kind admission cap
+/// worker pool and the [`BatchQueue`]s for the server to spawn. `max_depth`
+/// is the per-kind admission cap
 /// ([`AdmissionConfig::max_queue_depth`](crate::AdmissionConfig)); each kind
 /// gets its own budget, so one saturated queue sheds alone.
 pub(crate) fn build_queues(
     registry: &SharedRegistry,
-    base: &BatchConfig,
+    config: &BatchConfig,
     metrics: &ServeMetrics,
     max_depth: usize,
 ) -> (BatcherHandle, Vec<BatchQueue>) {
-    let current = registry.current();
     let mut senders = Vec::new();
     let mut queues = Vec::new();
-    for (kind, scorer) in current.scorers() {
+    for kind in registry.current().kinds() {
         let (sender, receiver) = std::sync::mpsc::channel();
         let queue_metrics = metrics.queue(&kind.name(), kind.scorer_family());
         senders.push(QueueSender {
@@ -332,7 +283,7 @@ pub(crate) fn build_queues(
         queues.push(BatchQueue {
             kind,
             receiver,
-            config: base.sized_for(scorer.cost_hint()),
+            max_batch: config.max_batch,
             metrics: queue_metrics,
         });
     }
@@ -348,11 +299,14 @@ pub(crate) fn build_queues(
 mod tests {
     use super::*;
     use crate::registry::{ModelRegistry, RegistryConfig};
-    use holistix::SpeedProfile;
+    use holistix::{Scorer, SpeedProfile};
+    use std::sync::Mutex;
+
+    const LR: BaselineKind = BaselineKind::LogisticRegression;
 
     fn tiny_registry() -> ModelRegistry {
         ModelRegistry::fit_synthetic(&RegistryConfig {
-            kinds: vec![BaselineKind::LogisticRegression],
+            kinds: vec![LR],
             profile: SpeedProfile::Tiny,
             training_posts: 90,
             seed: 5,
@@ -363,11 +317,11 @@ mod tests {
     /// the handle, and join cleanly when the handle drops.
     fn with_queues<F: FnOnce(&BatcherHandle) + Send>(
         registry: &SharedRegistry,
-        base: &BatchConfig,
+        config: &BatchConfig,
         metrics: &ServeMetrics,
         body: F,
     ) {
-        let (handle, queues) = build_queues(registry, base, metrics, usize::MAX);
+        let (handle, queues) = build_queues(registry, config, metrics, usize::MAX);
         crossbeam::thread::scope(|scope| {
             for queue in queues {
                 scope.spawn(move |_| queue.run(registry));
@@ -378,18 +332,102 @@ mod tests {
         .unwrap();
     }
 
+    /// The tiny LR model behind a log of every scorer call's size.
+    struct CallLog {
+        inner: Arc<dyn Scorer>,
+        calls: Mutex<Vec<usize>>,
+    }
+
+    impl Scorer for CallLog {
+        fn probabilities(&self, texts: &[&str]) -> Vec<Vec<f64>> {
+            self.calls.lock().unwrap().push(texts.len());
+            self.inner.probabilities(texts)
+        }
+
+        fn kind(&self) -> BaselineKind {
+            self.inner.kind()
+        }
+    }
+
+    /// Queue every request before the LR queue's drain starts, then run the
+    /// drain to completion on this thread, so the batches depend only on the
+    /// backlog, never on timing. Asserts every answer is bit-identical to
+    /// `probabilities_one` and returns the size of each scorer call.
+    fn drain_backlog(max_batch: usize, requests: &[&[&str]]) -> Vec<usize> {
+        let model = tiny_registry().get(LR).unwrap();
+        let log = Arc::new(CallLog {
+            inner: Arc::clone(&model),
+            calls: Mutex::new(Vec::new()),
+        });
+        let registry = SharedRegistry::new(ModelRegistry::from_scorers(vec![
+            Arc::clone(&log) as Arc<dyn Scorer>
+        ]));
+        let metrics = ServeMetrics::new();
+        let (handle, queues) =
+            build_queues(&registry, &BatchConfig { max_batch }, &metrics, usize::MAX);
+        let receivers: Vec<_> = requests
+            .iter()
+            .map(|texts| {
+                let texts = texts.iter().map(|t| t.to_string()).collect();
+                handle.queue(LR).unwrap().submit(texts).unwrap()
+            })
+            .collect();
+        drop(handle); // the drain exits once the backlog is gone
+        for queue in queues {
+            queue.run(&registry);
+        }
+        for (texts, receiver) in requests.iter().zip(receivers) {
+            let (rows, _) = receiver.recv().unwrap().unwrap();
+            let expected: Vec<Vec<f64>> =
+                texts.iter().map(|t| model.probabilities_one(t)).collect();
+            assert_eq!(rows, expected);
+        }
+        assert_eq!(metrics.queue("LR", "classical").depth(), 0);
+        let calls = log.calls.lock().unwrap().clone();
+        calls
+    }
+
+    #[test]
+    fn backlog_drains_in_max_batch_chunks() {
+        let texts = [
+            "i feel alone and tired",
+            "my job is destroying me",
+            "i cannot sleep at night",
+            "money worries never stop",
+            "my friends stopped calling",
+            "i skip meals most days",
+            "nothing feels meaningful",
+            "i argue with my family",
+            "i feel numb",
+        ];
+        let requests: Vec<&[&str]> = texts.iter().map(std::slice::from_ref).collect();
+        assert_eq!(drain_backlog(4, &requests), vec![4, 4, 1]);
+    }
+
+    #[test]
+    fn multi_text_request_over_max_batch_is_scored_in_one_call() {
+        let big: &[&str] = &[
+            "i feel alone and tired",
+            "my job is destroying me",
+            "i cannot sleep at night",
+            "money worries never stop",
+            "my friends stopped calling",
+            "i skip meals most days",
+        ];
+        let small: &[&str] = &["i feel numb"];
+        // The big request alone overfills the batch, so the drain stops
+        // there and the next request forms the next batch.
+        assert_eq!(drain_backlog(4, &[big, small]), vec![6, 1]);
+        // A request is never split: one that crosses max_batch rides whole.
+        assert_eq!(drain_backlog(4, &[small, big]), vec![7]);
+    }
+
     #[test]
     fn batched_replies_match_direct_scoring() {
         let registry = SharedRegistry::new(tiny_registry());
-        let model = registry
-            .current()
-            .get(BaselineKind::LogisticRegression)
-            .unwrap();
+        let model = registry.current().get(LR).unwrap();
         let metrics = ServeMetrics::new();
-        let config = BatchConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(20),
-        };
+        let config = BatchConfig { max_batch: 8 };
 
         let texts = vec![
             "i feel alone and tired".to_string(),
@@ -399,17 +437,15 @@ mod tests {
         let expected: Vec<Vec<f64>> = texts.iter().map(|t| model.probabilities_one(t)).collect();
 
         with_queues(&registry, &config, &metrics, |handle| {
-            let (got, timing) = handle
-                .predict_many(BaselineKind::LogisticRegression, texts.clone())
-                .unwrap();
+            let (got, timing) = handle.predict_many(LR, texts.clone()).unwrap();
             assert_eq!(got, expected);
-            // One batch: its timing envelope is ordered and after enqueue.
+            // One batch: its timing is ordered and after enqueue.
             let timing = timing.expect("scored at least one text");
             assert!(timing.drained <= timing.scored);
         });
 
-        // All three jobs were enqueued before any reply was awaited, so they
-        // were scored as one batch — visible globally and in the LR queue.
+        // The request's three texts travel as one job, so they were scored
+        // as one batch — visible globally and in the LR queue.
         assert_eq!(metrics.max_batch_size(), 3);
         let lr_queue = metrics.queue("LR", "classical");
         assert_eq!(lr_queue.max_batch_size(), 3);
@@ -442,9 +478,7 @@ mod tests {
         let (handle, queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 1024);
         drop(queues); // receivers gone: every send errors
         assert_eq!(
-            handle
-                .predict_many(BaselineKind::LogisticRegression, vec!["x".to_string()])
-                .err(),
+            handle.predict_many(LR, vec!["x".to_string()]).err(),
             Some(PredictError::Shutdown)
         );
         // The failed send released its reservation: depth is back to zero.
@@ -456,59 +490,21 @@ mod tests {
         let registry = SharedRegistry::new(tiny_registry());
         let metrics = ServeMetrics::new();
         // No drain loop running: jobs sit in the channel, depth only grows.
-        let (handle, queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 3);
+        let (handle, _queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 3);
         let texts = |n: usize| vec!["hello".to_string(); n];
 
         // A request bigger than the whole cap is rejected outright.
-        let err = handle
-            .predict_many(BaselineKind::LogisticRegression, texts(4))
-            .err()
-            .unwrap();
+        let err = handle.predict_many(LR, texts(4)).err().unwrap();
         assert!(matches!(err, PredictError::QueueFull { .. }));
         assert!(err.to_string().contains("full"));
         assert_eq!(metrics.queue("LR", "classical").depth(), 0);
 
-        // Fill the cap exactly by enqueueing without awaiting replies: send
-        // the jobs by hand through a second handle thread would block on
-        // recv, so reserve via the public path in a scope that never drains.
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..3 {
-                let handle = handle.clone();
-                scope.spawn(move |_| {
-                    // Blocks on recv until the queues are dropped below; the
-                    // reservation itself is what this test observes.
-                    let _ = handle.predict_many(BaselineKind::LogisticRegression, texts(1));
-                });
-            }
-            // Deterministic wait: depth is incremented before send, so poll
-            // the gauge (no timing assumption — just a progress deadline).
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while metrics.queue("LR", "classical").depth() < 3 {
-                assert!(Instant::now() < deadline, "queue never filled");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // The cap is reached: one more text is shed, all-or-nothing.
-            let err = handle
-                .predict_many(BaselineKind::LogisticRegression, texts(1))
-                .err()
-                .unwrap();
-            assert!(matches!(err, PredictError::QueueFull { depth: 3, .. }));
-            assert_eq!(metrics.queue("LR", "classical").depth(), 3);
-            drop(queues); // disconnects the channel, unblocking the senders
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn cost_sized_windows_widen_for_expensive_scorers() {
-        let base = BatchConfig::default();
-        let classical = base.sized_for(Duration::from_micros(200));
-        assert_eq!(classical.max_wait, base.max_wait);
-        let transformer = base.sized_for(Duration::from_millis(50));
-        assert_eq!(transformer.max_wait, Duration::from_millis(50));
-        // Pathologically slow scorers are capped.
-        let glacial = base.sized_for(Duration::from_secs(10));
-        assert_eq!(glacial.max_wait, MAX_COST_SIZED_WAIT);
-        assert_eq!(glacial.max_batch, base.max_batch);
+        // Fill the cap exactly; with no drain the reservations stay held.
+        let queue = handle.queue(LR).unwrap();
+        let _held: Vec<_> = (0..3).map(|_| queue.submit(texts(1)).unwrap()).collect();
+        // The cap is reached: one more text is shed, all-or-nothing.
+        let err = handle.predict_many(LR, texts(1)).err().unwrap();
+        assert!(matches!(err, PredictError::QueueFull { depth: 3, .. }));
+        assert_eq!(metrics.queue("LR", "classical").depth(), 3);
     }
 }

@@ -98,7 +98,8 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    /// Adopt an accepted stream: switch it nonblocking and start the session.
+    /// Adopt an accepted stream: switch it nonblocking, turn Nagle's
+    /// algorithm off, and start the session.
     pub(crate) fn new(
         stream: TcpStream,
         generation: u64,
@@ -106,6 +107,10 @@ impl Connection {
         bucket: Option<TokenBucket>,
     ) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
+        // A response is written as soon as it is ready. With Nagle on, one
+        // written while the previous is still unacknowledged waits for the
+        // client's delayed ACK, tens of milliseconds.
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             generation,
@@ -435,6 +440,15 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn accepted_connections_turn_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conn = Connection::new(stream, 0, Instant::now(), None).unwrap();
+        assert!(conn.stream.nodelay().unwrap());
+    }
 
     #[test]
     fn timer_wheel_fires_after_the_deadline_not_before() {

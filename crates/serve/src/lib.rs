@@ -30,17 +30,17 @@
 //!                  │  ▼ job mpsc              ▲ completions + waker        │
 //!                  │  handler threads (H, fixed): route ─ respond          │
 //!                  │  │ /predict blocks here, never on a poller            │
-//!                  │  ▼ per-kind job mpsc                                  │
-//!                  │   ┌─ BatchQueue "LR"   ── drain ≤max_batch ──┐        │
-//!                  │   │                       or until max_wait  │        │
-//!                  │   ├─ BatchQueue "BERT" ── (own window sized ─┤        │
-//!                  │   │      …                from cost_hint)    │        │
+//!                  │  ▼ per-kind job mpsc (one job per request)            │
+//!                  │   ┌─ BatchQueue "LR"   ── when idle, drain ──┐        │
+//!                  │   │                       what is queued,    │        │
+//!                  │   ├─ BatchQueue "BERT" ── up to max_batch ───┤        │
+//!                  │   │      …                texts, no timer    │        │
 //!                  │   └──────────────┬───────────────────────────┘        │
 //!                  │                  ▼                                    │
 //!                  │     Arc<dyn Scorer>::probabilities                    │
 //!                  │     (one batched call per queue batch)                │
 //!                  │                  ▼                                    │
-//!                  │     per-job reply channels ─► handlers ─► pollers     │
+//!                  │   per-request reply channels ─► handlers ─► pollers   │
 //!                  └───────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -55,8 +55,8 @@
 //!   lazy revalidation.
 //!
 //! * **The [`Scorer`](holistix::Scorer) seam** — everything here is written
-//!   against `Arc<dyn Scorer>` (batched `probabilities` + `kind` +
-//!   `cost_hint`), never a concrete model type. The classical sparse
+//!   against `Arc<dyn Scorer>` (batched `probabilities` + `kind`), never a
+//!   concrete model type. The classical sparse
 //!   pipeline, the transformer analogues
 //!   ([`TransformerScorer`](holistix::TransformerScorer)) and any future
 //!   backend plug into the registry, the batch queues and `/explain` by
@@ -74,19 +74,18 @@
 //!   atomically swaps the `Arc`, so in-flight requests finish on the old
 //!   models and `/predict` keeps answering throughout (an integration test
 //!   pins this liveness).
-//! * **[`batcher`]** — one `BatchQueue` per registered
-//!   scorer: its own channel, its own drain thread, its own
-//!   [`BatchConfig`] window sized from the scorer's `cost_hint`
-//!   ([`BatchConfig::sized_for`]). Request workers enqueue texts on their
-//!   model's queue and block on per-job reply channels; each drain loop
-//!   coalesces up to [`BatchConfig::max_batch`] texts (or whatever arrived
-//!   within its window) and scores them with one `probabilities` call. A
-//!   saturated transformer queue therefore cannot delay a classical batch —
-//!   the isolation an integration test pins with a deliberately slow scorer
-//!   stub. Batching is invisible in the answers: batched scoring is
-//!   bit-for-bit identical to text-at-a-time scoring, a property the core
-//!   pipeline tests pin and the loopback integration test re-asserts over
-//!   HTTP.
+//! * **[`batcher`]** — one `BatchQueue` per registered scorer: its own
+//!   channel and its own drain thread. Request workers enqueue each
+//!   request's texts on their model's queue as one job and block on its
+//!   reply channel. The drain is work-conserving: when its scorer is idle it
+//!   takes whatever is queued, up to [`BatchConfig::max_batch`] texts, and
+//!   scores it with one `probabilities` call, so batches grow with load and
+//!   nothing waits on a timer. A saturated transformer queue cannot delay a
+//!   classical batch — the isolation an integration test pins with a
+//!   deliberately slow scorer stub. Batching is invisible in the answers:
+//!   batched scoring is bit-for-bit identical to text-at-a-time scoring, a
+//!   property the core pipeline tests pin and the loopback integration test
+//!   re-asserts over HTTP.
 //! * **[`http`]** — the minimal HTTP/1.1 subset with keep-alive:
 //!   `Content-Length` framing on both sides, `Connection: close` honored,
 //!   per-connection request cap and idle timeout

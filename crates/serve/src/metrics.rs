@@ -325,11 +325,12 @@ pub fn os_thread_count() -> Option<u64> {
 /// Per-queue statistics: one instance per registered scorer kind, shared
 /// between that kind's [`BatcherHandle`](crate::batcher::BatcherHandle) side
 /// (depth increments) and its drain loop (depth decrements, batch sizes,
-/// per-job queue wait and per-batch scoring time).
+/// per-text queue wait and per-batch scoring time). Depth counts texts, not
+/// requests.
 ///
 /// Every depth change is mirrored into the server-wide `aggregate` counter
 /// (shared across all queues via [`ServeMetrics::queue`]), which the global
-/// intake valve and `/explain` shedding read — so "total jobs queued" is one
+/// intake valve and `/explain` shedding read — so "total texts queued" is one
 /// atomic load, not a walk over the queue list.
 #[derive(Debug, Default)]
 pub struct QueueMetrics {
@@ -340,7 +341,7 @@ pub struct QueueMetrics {
     texts_scored: AtomicU64,
     /// Scored batch sizes. Below 32 every size gets an exact bucket.
     batch_sizes: LogHistogram,
-    /// Per-job enqueue → batch-drain wait (µs).
+    /// Per-text enqueue → batch-drain wait (µs).
     queue_wait: LogHistogram,
     /// Per-batch `probabilities` call duration (µs).
     score: LogHistogram,
@@ -355,21 +356,21 @@ impl QueueMetrics {
         }
     }
 
-    /// Count one job entering the queue.
+    /// Count one text entering the queue.
     pub fn record_enqueued(&self) {
         self.depth.fetch_add(1, Ordering::Relaxed);
         self.aggregate.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reserve room for `jobs` more jobs, all or nothing: succeeds (and
+    /// Reserve room for `texts` more texts, all or nothing: succeeds (and
     /// counts them as enqueued) only if the resulting depth stays within
     /// `cap`. The compare-exchange makes the check-and-increment atomic, so
     /// two handlers racing for the last slots cannot both win it —
     /// admission never overshoots the cap.
-    pub fn try_admit(&self, jobs: u64, cap: u64) -> bool {
+    pub fn try_admit(&self, texts: u64, cap: u64) -> bool {
         let mut current = self.depth.load(Ordering::Relaxed);
         loop {
-            let next = match current.checked_add(jobs) {
+            let next = match current.checked_add(texts) {
                 Some(next) if next <= cap => next,
                 _ => return false,
             };
@@ -384,7 +385,7 @@ impl QueueMetrics {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.aggregate.fetch_add(jobs, Ordering::Relaxed);
+                    self.aggregate.fetch_add(texts, Ordering::Relaxed);
                     return true;
                 }
                 Err(actual) => current = actual,
@@ -392,17 +393,17 @@ impl QueueMetrics {
         }
     }
 
-    /// Count `jobs` leaving the queue unscored (shutdown drain, or an
+    /// Count `texts` leaving the queue unscored (model not loaded, or an
     /// admitted reservation whose send failed).
-    pub fn record_dropped(&self, jobs: usize) {
-        self.depth.fetch_sub(jobs as u64, Ordering::Relaxed);
-        self.aggregate.fetch_sub(jobs as u64, Ordering::Relaxed);
+    pub fn record_dropped(&self, texts: usize) {
+        self.depth.fetch_sub(texts as u64, Ordering::Relaxed);
+        self.aggregate.fetch_sub(texts as u64, Ordering::Relaxed);
     }
 
-    /// Record one scored batch of `size` jobs: each job's queue wait
+    /// Record one scored batch of `size` texts: each text's queue wait
     /// (enqueue → drain, µs) and the batch's single scoring call duration.
     /// Decrements the queue depth by the batch size.
-    pub fn record_batch(&self, size: usize, job_wait_us: &[u64], score_us: u64) {
+    pub fn record_batch(&self, size: usize, text_wait_us: &[u64], score_us: u64) {
         if size == 0 {
             return;
         }
@@ -410,13 +411,13 @@ impl QueueMetrics {
         self.aggregate.fetch_sub(size as u64, Ordering::Relaxed);
         self.texts_scored.fetch_add(size as u64, Ordering::Relaxed);
         self.batch_sizes.record(size as u64);
-        for &micros in job_wait_us {
+        for &micros in text_wait_us {
             self.queue_wait.record(micros);
         }
         self.score.record(score_us);
     }
 
-    /// Jobs currently waiting in (or being scored from) this queue.
+    /// Texts currently waiting in (or being scored from) this queue.
     pub fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
     }

@@ -126,10 +126,7 @@ pub struct ServeConfig {
     /// connections are *not* pinned to handlers, so a handful serve
     /// thousands of keep-alive clients.
     pub handlers: usize,
-    /// Base micro-batching knobs. Each registered scorer's queue derives its
-    /// own window from this and the scorer's
-    /// [`cost_hint`](holistix::Scorer::cost_hint)
-    /// (see [`BatchConfig::sized_for`]).
+    /// Micro-batching knobs, shared by every registered scorer's queue.
     pub batch: BatchConfig,
     /// Connection keep-alive policy.
     pub keep_alive: KeepAliveConfig,
@@ -1054,10 +1051,7 @@ mod tests {
         });
         let config = ServeConfig {
             handlers: 4,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(1),
-            },
+            batch: BatchConfig { max_batch: 8 },
             lime: LimeConfig {
                 n_samples: 40,
                 ..LimeConfig::default()

@@ -27,6 +27,20 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
+/// The settled `threads.os_threads` from `/metrics`: the minimum over a few
+/// scrapes 10 ms apart. A thread that was just joined (the startup fit's)
+/// can still be listed in /proc for a moment, and dying threads only ever
+/// inflate the count.
+fn settled_os_threads(addr: SocketAddr) -> u64 {
+    (0..5)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            os_threads_from(&request_ok(addr, "GET", "/metrics", None))
+        })
+        .min()
+        .unwrap_or(0)
+}
+
 /// Pull `threads.os_threads` out of a `/metrics` document.
 fn os_threads_from(metrics_body: &str) -> u64 {
     let document = match holistix::corpus::JsonValue::parse(metrics_body) {
@@ -70,10 +84,7 @@ fn main() {
     let config = ServeConfig {
         pollers: 2,
         handlers: 8,
-        batch: BatchConfig {
-            max_batch: 32,
-            max_wait: Duration::from_millis(5),
-        },
+        batch: BatchConfig { max_batch: 32 },
         ..ServeConfig::default()
     };
     let server = match serve("127.0.0.1:0", registry, config) {
@@ -124,7 +135,7 @@ fn main() {
         // the configured pollers + handlers + queues, not of the client count.
         // This runs BEFORE the /reload check because /reload legitimately
         // spawns a detached fit thread and would move the baseline.
-        let threads_before = os_threads_from(&request_ok(addr, "GET", "/metrics", None));
+        let threads_before = settled_os_threads(addr);
         let mut parked = Vec::with_capacity(256);
         for i in 0..256 {
             let mut attempts = 0;
@@ -161,7 +172,7 @@ fn main() {
         if !during_idle.contains("probabilities") {
             fail("predict with 256 idle connections parked carries no probabilities");
         }
-        let threads_after = os_threads_from(&request_ok(addr, "GET", "/metrics", None));
+        let threads_after = settled_os_threads(addr);
         if threads_after != threads_before {
             fail(&format!(
                 "OS thread count moved with idle connections: {threads_before} -> {threads_after}"

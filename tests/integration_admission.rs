@@ -43,10 +43,6 @@ impl Scorer for GatedScorer {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Transformer(holistix::transformer::ModelKind::Bert)
     }
-
-    fn cost_hint(&self) -> Duration {
-        Duration::from_millis(50)
-    }
 }
 
 /// Poll `check` until it holds — a progress deadline, not a timing
@@ -102,10 +98,7 @@ fn full_queue_rejects_with_retry_after_while_other_kind_serves() {
         registry,
         ServeConfig {
             handlers: 8,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(1),
-            },
+            batch: BatchConfig { max_batch: 8 },
             admission: AdmissionConfig {
                 max_queue_depth: 3,
                 // Same threshold: once BERT holds 3 jobs, /explain sheds too.
@@ -344,10 +337,7 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
         registry,
         ServeConfig {
             handlers: 4,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(1),
-            },
+            batch: BatchConfig { max_batch: 8 },
             admission: AdmissionConfig {
                 global_intake_limit: 2,
                 // Only the valve is under test: keep the shedding bounds out

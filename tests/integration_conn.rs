@@ -23,12 +23,7 @@ fn start_server() -> (ServerHandle, Arc<dyn Scorer>) {
     });
     let model = registry.get(BaselineKind::LogisticRegression).unwrap();
     let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 8,
-            // A real batching window, so the second pipelined request reliably
-            // arrives while the first is still in flight.
-            max_wait: Duration::from_millis(50),
-        },
+        batch: BatchConfig { max_batch: 8 },
         ..ServeConfig::default()
     };
     let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
@@ -96,8 +91,8 @@ fn two_requests_in_one_write_answer_in_order_bit_identically() {
     assert_eq!(status, 200, "{want_b}");
     assert_ne!(want_a, want_b, "texts must produce distinguishable answers");
 
-    // Both requests in a single write; the poller parses and dispatches the
-    // second while the first sits in the batch window.
+    // Both requests in a single write; the poller parses both from one read
+    // and dispatches the second while the first is still in flight.
     let stream = TcpStream::connect(addr).expect("connect");
     let pipelined = format!("{}{}", predict_request(text_a), predict_request(text_b));
     (&stream).write_all(pipelined.as_bytes()).expect("write");

@@ -20,10 +20,7 @@ fn start_server() -> ServerHandle {
         seed: 29,
     });
     let config = ServeConfig {
-        batch: BatchConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(20),
-        },
+        batch: BatchConfig { max_batch: 8 },
         ..ServeConfig::default()
     };
     serve("127.0.0.1:0", registry, config).expect("bind loopback")

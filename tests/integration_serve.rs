@@ -2,12 +2,13 @@
 //! cross-request micro-batching.
 //!
 //! A real server on an ephemeral port, driven by genuinely concurrent clients,
-//! must (a) coalesce at least two concurrent single-text requests into one
-//! scoring batch (visible in the `/metrics` batch histogram), and (b) return
-//! per-request probabilities **bit-identical** to what the warm model answers
-//! for the same text via `probabilities_one` — batching may change latency,
-//! never answers. The JSON layer's shortest-round-trip `f64` formatting is
-//! what makes the bitwise comparison across the HTTP boundary possible.
+//! must (a) coalesce concurrent single-text requests that queue behind a busy
+//! scorer into one scoring batch (visible in the `/metrics` batch histogram),
+//! and (b) return per-request probabilities **bit-identical** to what the
+//! warm model answers for the same text via `probabilities_one` — batching
+//! may change latency, never answers. The JSON layer's shortest-round-trip
+//! `f64` formatting is what makes the bitwise comparison across the HTTP
+//! boundary possible.
 
 use holistix::corpus::JsonValue;
 use holistix::{BaselineKind, FittedBaseline, Scorer, SpeedProfile};
@@ -16,29 +17,31 @@ use holistix_serve::{
     http_request, serve, BatchConfig, HttpClient, ModelRegistry, RegistryConfig, ServeConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-fn start_server() -> (holistix_serve::ServerHandle, Arc<dyn Scorer>) {
-    let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+fn lr_registry() -> ModelRegistry {
+    ModelRegistry::fit_synthetic(&RegistryConfig {
         kinds: vec![BaselineKind::LogisticRegression],
         profile: SpeedProfile::Tiny,
         training_posts: 120,
         seed: 13,
-    });
-    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    })
+}
+
+fn serve_registry(registry: ModelRegistry) -> holistix_serve::ServerHandle {
     let config = ServeConfig {
         handlers: 8,
-        batch: BatchConfig {
-            max_batch: 8,
-            // Generous window so concurrent clients reliably land in one batch
-            // even on a loaded CI machine.
-            max_wait: Duration::from_millis(250),
-        },
+        batch: BatchConfig { max_batch: 8 },
         ..ServeConfig::default()
     };
-    let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
-    (server, model)
+    serve("127.0.0.1:0", registry, config).expect("bind loopback")
+}
+
+fn start_server() -> (holistix_serve::ServerHandle, Arc<dyn Scorer>) {
+    let registry = lr_registry();
+    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    (serve_registry(registry), model)
 }
 
 fn predict_one(addr: std::net::SocketAddr, text: &str) -> Vec<f64> {
@@ -76,12 +79,44 @@ fn max_batch_from_metrics(addr: std::net::SocketAddr) -> usize {
     max_size
 }
 
-/// The acceptance test: ≥2 concurrent requests batch together, and every
-/// client gets probabilities bit-identical to single-text scoring.
+/// The warm LR model behind a gate: every scoring call waits (with a hard
+/// deadline, so a failing test cannot wedge the queue thread) until the test
+/// opens it.
+struct GatedLr {
+    inner: Arc<dyn Scorer>,
+    open: Arc<AtomicBool>,
+}
+
+impl Scorer for GatedLr {
+    fn probabilities(&self, texts: &[&str]) -> Vec<Vec<f64>> {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !self.open.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.inner.probabilities(texts)
+    }
+
+    fn kind(&self) -> BaselineKind {
+        self.inner.kind()
+    }
+}
+
+/// The acceptance test: concurrent requests that queue behind a busy scorer
+/// batch together, and every client gets probabilities bit-identical to
+/// single-text scoring. Deterministic: the first batch is held in a gate
+/// until the queue depth shows every other request admitted behind it, so
+/// the next drain takes them as one batch.
 #[test]
 fn concurrent_requests_batch_together_and_stay_bit_identical() {
-    let (server, model) = start_server();
+    let registry = lr_registry();
+    let model = registry.get(BaselineKind::LogisticRegression).unwrap();
+    let open = Arc::new(AtomicBool::new(false));
+    let server = serve_registry(ModelRegistry::from_scorers(vec![Arc::new(GatedLr {
+        inner: Arc::clone(&model),
+        open: Arc::clone(&open),
+    })]));
     let addr = server.addr();
+    let metrics = server.metrics();
 
     let corpus = HolistixCorpus::generate_small(30, 99);
     let texts: Vec<String> = corpus
@@ -93,33 +128,31 @@ fn concurrent_requests_batch_together_and_stay_bit_identical() {
     assert_eq!(texts.len(), 4);
     let expected: Vec<Vec<f64>> = texts.iter().map(|t| model.probabilities_one(t)).collect();
 
-    // Several rounds of 4 concurrent single-text clients. One round is
-    // normally enough for a ≥2 batch; retry a few times to be immune to a
-    // pathologically scheduled CI box. Correctness is asserted every round.
-    let mismatches = Arc::new(AtomicUsize::new(0));
-    for _round in 0..5 {
-        let barrier = Arc::new(Barrier::new(texts.len()));
-        crossbeam::thread::scope(|scope| {
-            for (text, want) in texts.iter().zip(&expected) {
-                let barrier = Arc::clone(&barrier);
-                let mismatches = Arc::clone(&mismatches);
-                scope.spawn(move |_| {
-                    barrier.wait();
-                    let got = predict_one(addr, text);
-                    assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(want) {
-                        if g.to_bits() != w.to_bits() {
-                            mismatches.fetch_add(1, Ordering::SeqCst);
-                        }
+    let mismatches = AtomicUsize::new(0);
+    crossbeam::thread::scope(|scope| {
+        for (text, want) in texts.iter().zip(&expected) {
+            let mismatches = &mismatches;
+            scope.spawn(move |_| {
+                let got = predict_one(addr, text);
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(want) {
+                    if g.to_bits() != w.to_bits() {
+                        mismatches.fetch_add(1, Ordering::SeqCst);
                     }
-                });
-            }
-        })
-        .expect("client scope failed");
-        if max_batch_from_metrics(addr) >= 2 {
-            break;
+                }
+            });
         }
-    }
+        // Depth counts a text from admission until its batch is scored, and
+        // the first batch cannot finish while the gate is shut: depth 4
+        // means the other requests are queued behind it.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while metrics.queue("LR", "classical").depth() < texts.len() as u64 {
+            assert!(Instant::now() < deadline, "requests never queued");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        open.store(true, Ordering::SeqCst);
+    })
+    .expect("client scope failed");
 
     assert_eq!(
         mismatches.load(Ordering::SeqCst),
@@ -312,10 +345,6 @@ impl Scorer for GatedScorer {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Transformer(holistix::transformer::ModelKind::Bert)
     }
-
-    fn cost_hint(&self) -> Duration {
-        Duration::from_millis(50)
-    }
 }
 
 /// The per-kind queue isolation bar: with the slow (transformer) queue
@@ -351,10 +380,7 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
         registry,
         ServeConfig {
             handlers: 4,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(1),
-            },
+            batch: BatchConfig { max_batch: 8 },
             ..ServeConfig::default()
         },
     )
