@@ -1,14 +1,13 @@
 //! Quantized transformer inference: f64 reference vs weight-only i8.
 //!
-//! Fits one small-but-real MentalBERT analogue (hidden 64 × 2 layers — big
-//! enough that linear-layer compute dominates the shared tokenization cost;
-//! at the `Fast` profile's hidden 32 the two paths are both ~500 µs of
-//! subword encoding and the kernel ratio is invisible), quantizes it with
-//! [`QuantizedScorer::from_transformer`], and compares the two `Scorer`
-//! implementations on single-text and batched scoring. The f64 path runs the
-//! tape-based autograd forward (graph construction and all); the i8 path is
-//! the graph-free f32/i8 kernel — the measured ratio is the speedup a serving
-//! deployment gets by registering the `-i8` sibling kind.
+//! Fits one small-but-real MentalBERT analogue (hidden 64 × 2 layers, so the
+//! linear layers, where the two weight formats differ, dominate the per-text
+//! cost), quantizes it with [`QuantizedScorer::from_transformer`], and
+//! compares the two `Scorer` implementations on single-text and batched
+//! scoring. Both run the same graph-free inference forward, padded tail
+//! dropped: f64 over the fitted weights, f32 over i8 weights. The measured
+//! ratio is therefore what the i8 kernels and weight format alone buy a
+//! serving deployment that registers the `-i8` sibling kind.
 //!
 //! Headline numbers (mean per-text latency for both paths, both shapes, plus
 //! the batched speedup) are merged into the

@@ -404,9 +404,7 @@ impl FittedBaseline {
                     })
                     .collect()
             }
-            FittedBaseline::Transformer { trainer } => {
-                texts.iter().map(|t| trainer.predict_proba(t)).collect()
-            }
+            FittedBaseline::Transformer { trainer } => trainer.predict_proba_batch(texts),
         }
     }
 

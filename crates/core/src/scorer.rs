@@ -16,13 +16,16 @@
 //! * [`kind`](Scorer::kind) — which Table IV baseline the scorer serves, the
 //!   registry key.
 //!
-//! Two implementations ship here: [`FittedBaseline`] (classical sparse path
-//! *and* the trainer-backed transformer arm) and [`TransformerScorer`], a thin
+//! Three implementations ship here: [`FittedBaseline`] (classical sparse path
+//! *and* the trainer-backed transformer arm), [`TransformerScorer`], a thin
 //! scorer around a fine-tuned [`Trainer`] from `holistix-transformer` for
-//! deployments that train transformers outside the baseline pipeline. Any
-//! future backend (distilled models, remote scorers, quantised analogues)
-//! plugs into serving by implementing this trait — nothing in
-//! `holistix-serve` names a concrete model type anymore.
+//! deployments that train transformers outside the baseline pipeline, and
+//! [`QuantizedScorer`], its i8 sibling. Both f64 transformer scorers score
+//! through [`Trainer::predict_proba_batch`], and all three transformer paths
+//! run `holistix-transformer`'s graph-free inference forward one text at a
+//! time; the autograd tape is for training only. Any future backend
+//! (distilled models, remote scorers) plugs into serving by implementing this
+//! trait — nothing in `holistix-serve` names a concrete model type anymore.
 
 use crate::pipeline::{BaselineKind, FittedBaseline, SpeedProfile};
 use holistix_corpus::ALL_DIMENSIONS;

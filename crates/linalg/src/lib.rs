@@ -27,7 +27,7 @@ pub mod sparse;
 pub mod stats;
 pub mod vector;
 
-pub use matrix::Matrix;
+pub use matrix::{matmul_accumulate, Matrix};
 pub use ops::{log_softmax_rows, logsumexp, relu, sigmoid, softmax, softmax_rows, tanh_vec};
 pub use random::{xavier_uniform, Rng64};
 pub use sparse::{CsrBuilder, CsrMatrix, FeatureMatrix, FeatureRows};

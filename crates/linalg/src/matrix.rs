@@ -174,19 +174,13 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (j, &b_kj) in b_row.iter().enumerate() {
-                    out_row[j] += a_ik * b_kj;
-                }
-            }
-        }
+        matmul_accumulate(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
         out
     }
 
@@ -323,6 +317,32 @@ impl IndexMut<(usize, usize)> for Matrix {
             self.cols
         );
         &mut self.data[r * self.cols + c]
+    }
+}
+
+/// Row-major product on slices, accumulated: `out += a · b`, where `a` is
+/// `rows × inner`, `b` is `inner × cols` and `out` is `rows × cols`. The i-k-j
+/// order walks `b` and `out` contiguously, and a zero entry of `a` skips its
+/// row of `b`. [`Matrix::matmul`] and the transformer's inference forward share
+/// this loop, which keeps their products bit-identical.
+pub fn matmul_accumulate<T>(a: &[T], inner: usize, b: &[T], cols: usize, out: &mut [T])
+where
+    T: Copy + Default + PartialEq + AddAssign + Mul<Output = T>,
+{
+    assert_eq!(
+        b.len(),
+        inner * cols,
+        "matmul_accumulate: b is not inner x cols"
+    );
+    for (a_row, out_row) in a.chunks(inner.max(1)).zip(out.chunks_mut(cols.max(1))) {
+        for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(cols)) {
+            if a_ik == T::default() {
+                continue;
+            }
+            for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
+                *o += a_ik * b_kj;
+            }
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 //! once, implemented with max-subtraction to stay finite for large logits.
 
 use crate::matrix::Matrix;
+use std::ops::AddAssign;
 
 /// Numerically stable log-sum-exp of a slice. Returns `-inf` for an empty slice.
 pub fn logsumexp(xs: &[f64]) -> f64 {
@@ -21,28 +22,36 @@ pub fn logsumexp(xs: &[f64]) -> f64 {
 
 /// Numerically stable softmax of a slice. Returns an empty vector for empty input.
 pub fn softmax(xs: &[f64]) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
+    let mut out = xs.to_vec();
+    softmax_in_place(&mut out);
+    out
+}
+
+/// [`softmax`] overwriting its input.
+pub fn softmax_in_place(xs: &mut [f64]) {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if !m.is_finite() {
-        // All inputs are -inf (or NaN): no finite maximum, fall back to uniform.
-        return vec![1.0 / xs.len() as f64; xs.len()];
+    if m.is_finite() {
+        for x in xs.iter_mut() {
+            *x = (*x - m).exp();
+        }
+        let sum: f64 = xs.iter().sum();
+        if sum != 0.0 {
+            for x in xs.iter_mut() {
+                *x /= sum;
+            }
+            return;
+        }
     }
-    let exps: Vec<f64> = xs.iter().map(|&x| (x - m).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    if sum == 0.0 {
-        // All inputs were -inf; fall back to uniform.
-        return vec![1.0 / xs.len() as f64; xs.len()];
-    }
-    exps.into_iter().map(|e| e / sum).collect()
+    // All inputs are -inf (or NaN): no finite maximum, fall back to uniform.
+    let uniform = 1.0 / xs.len() as f64;
+    xs.fill(uniform);
 }
 
 /// Row-wise softmax of a matrix.
 pub fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for r in 0..m.rows() {
-        out.set_row(r, &softmax(m.row(r)));
+    let mut out = m.clone();
+    for r in 0..out.rows() {
+        softmax_in_place(out.row_mut(r));
     }
     out
 }
@@ -81,6 +90,26 @@ pub fn tanh_vec(xs: &[f64]) -> Vec<f64> {
 /// GELU activation (tanh approximation), used by the transformer feed-forward blocks.
 pub fn gelu(x: f64) -> f64 {
     0.5 * x * (1.0 + ((2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x.powi(3))).tanh())
+}
+
+/// Normalise one row in place to zero mean and unit variance, then apply the
+/// gain `gamma` and bias `beta` (the transformer's layer norm).
+pub fn layer_norm_in_place(row: &mut [f64], gamma: &[f64], beta: &[f64], eps: f64) {
+    let mean = row.iter().sum::<f64>() / row.len() as f64;
+    let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / row.len() as f64;
+    let std = (var + eps).sqrt();
+    for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
+        *v = (*v - mean) / std * g + b;
+    }
+}
+
+/// Add the bias row `bias` to every `bias.len()`-wide row of `data`.
+pub fn add_row_broadcast<T: Copy + AddAssign>(data: &mut [T], bias: &[T]) {
+    for row in data.chunks_exact_mut(bias.len().max(1)) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! module's tests for every op.
 
 use crate::params::{ParamId, ParamStore};
-use holistix_linalg::{softmax, CsrBuilder, Matrix};
+use holistix_linalg::ops::{add_row_broadcast, gelu, layer_norm_in_place};
+use holistix_linalg::{softmax, softmax_rows, CsrBuilder, Matrix};
 use std::collections::BTreeMap;
 
 /// Handle to a node in a [`Graph`].
@@ -56,8 +57,6 @@ enum Op {
     /// store — one row per *distinct* token instead of a dense `vocab × hidden`
     /// scratch matrix.
     GatherParam { param: ParamId, indices: Vec<usize> },
-    /// Vertical concatenation of same-width nodes (row-block stacking).
-    ConcatRows(Vec<NodeId>),
     /// Mean over rows, producing a `1 × cols` matrix.
     MeanRows(NodeId),
     /// Select a single row, producing a `1 × cols` matrix.
@@ -146,14 +145,8 @@ impl Graph {
 
     /// Add a `1 × cols` bias row to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let bias_row = self.nodes[bias].value.row(0).to_vec();
         let mut value = self.nodes[a].value.clone();
-        for r in 0..value.rows() {
-            let row = value.row_mut(r);
-            for (v, b) in row.iter_mut().zip(&bias_row) {
-                *v += b;
-            }
-        }
+        add_row_broadcast(value.data_mut(), self.nodes[bias].value.row(0));
         self.push(value, Op::AddRowBroadcast(a, bias))
     }
 
@@ -195,30 +188,20 @@ impl Graph {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let m = &self.nodes[a].value;
-        let mut value = Matrix::zeros(m.rows(), m.cols());
-        for r in 0..m.rows() {
-            value.set_row(r, &softmax(m.row(r)));
-        }
+        let value = softmax_rows(&self.nodes[a].value);
         self.push(value, Op::SoftmaxRows(a))
     }
 
     /// Row-wise layer normalisation with learned gain `gamma` and bias `beta`
     /// (both `1 × cols`).
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId, eps: f64) -> NodeId {
-        let xv = &self.nodes[x].value;
-        let g = self.nodes[gamma].value.row(0).to_vec();
-        let b = self.nodes[beta].value.row(0).to_vec();
-        let mut value = Matrix::zeros(xv.rows(), xv.cols());
-        for r in 0..xv.rows() {
-            let row = xv.row(r);
-            let mean = row.iter().sum::<f64>() / row.len() as f64;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / row.len() as f64;
-            let std = (var + eps).sqrt();
-            let out = value.row_mut(r);
-            for j in 0..row.len() {
-                out[j] = (row[j] - mean) / std * g[j] + b[j];
-            }
+        let mut value = self.nodes[x].value.clone();
+        let (g, b) = (
+            self.nodes[gamma].value.row(0),
+            self.nodes[beta].value.row(0),
+        );
+        for r in 0..value.rows() {
+            layer_norm_in_place(value.row_mut(r), g, b, eps);
         }
         self.push(
             value,
@@ -284,35 +267,6 @@ impl Graph {
                 indices: indices.to_vec(),
             },
         )
-    }
-
-    /// Stack nodes vertically (all must share a column count). Row block `p` of the
-    /// output is `parts[p]`; the backward pass splits the gradient back into the
-    /// corresponding row blocks.
-    pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "concat_rows: empty part list");
-        let cols = self.nodes[parts[0]].value.cols();
-        let total_rows: usize = parts
-            .iter()
-            .map(|&p| {
-                assert_eq!(
-                    self.nodes[p].value.cols(),
-                    cols,
-                    "concat_rows: column count mismatch"
-                );
-                self.nodes[p].value.rows()
-            })
-            .sum();
-        let mut value = Matrix::zeros(total_rows, cols);
-        let mut offset = 0;
-        for &p in parts {
-            let part = &self.nodes[p].value;
-            for r in 0..part.rows() {
-                value.set_row(offset + r, part.row(r));
-            }
-            offset += part.rows();
-        }
-        self.push(value, Op::ConcatRows(parts.to_vec()))
     }
 
     /// Mean over rows (`n × d` → `1 × d`).
@@ -576,19 +530,6 @@ impl Graph {
                         }
                     }
                 }
-                Op::ConcatRows(parts) => {
-                    let mut offset = 0;
-                    for &p in &parts {
-                        let rows = self.nodes[p].value.rows();
-                        let cols = grad.cols();
-                        let mut dp = Matrix::zeros(rows, cols);
-                        for r in 0..rows {
-                            dp.set_row(r, grad.row(offset + r));
-                        }
-                        self.nodes[p].grad.add_scaled(&dp, 1.0);
-                        offset += rows;
-                    }
-                }
                 Op::MeanRows(a) => {
                     let rows = self.nodes[a].value.rows().max(1) as f64;
                     let mut da = Matrix::zeros(self.nodes[a].value.rows(), grad.cols());
@@ -638,10 +579,6 @@ impl Graph {
             }
         }
     }
-}
-
-fn gelu(x: f64) -> f64 {
-    0.5 * x * (1.0 + ((2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x.powi(3))).tanh())
 }
 
 fn gelu_derivative(x: f64) -> f64 {
@@ -1002,39 +939,6 @@ mod tests {
             },
             1e-5,
         );
-    }
-
-    #[test]
-    fn concat_rows_gradient_matches_finite_differences() {
-        let mut store = ParamStore::new();
-        let a = random_param(&mut store, "a", 2, 3, 53);
-        let b = random_param(&mut store, "b", 3, 3, 59);
-        for target in [a, b] {
-            finite_difference_check(
-                &mut store,
-                target,
-                |g, s| {
-                    let ap = g.param(s, a);
-                    let bp = g.param(s, b);
-                    let stacked = g.concat_rows(&[ap, bp]);
-                    let sq = g.mul(stacked, stacked);
-                    g.sum(sq)
-                },
-                1e-5,
-            );
-        }
-    }
-
-    #[test]
-    fn concat_rows_stacks_values_in_order() {
-        let mut g = Graph::new();
-        let a = g.constant(Matrix::from_rows(&[vec![1.0, 2.0]]));
-        let b = g.constant(Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]));
-        let stacked = g.concat_rows(&[a, b]);
-        assert_eq!(g.value(stacked).shape(), (3, 2));
-        assert_eq!(g.value(stacked).row(0), &[1.0, 2.0]);
-        assert_eq!(g.value(stacked).row(1), &[3.0, 4.0]);
-        assert_eq!(g.value(stacked).row(2), &[5.0, 6.0]);
     }
 
     #[test]

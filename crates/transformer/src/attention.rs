@@ -14,11 +14,13 @@
 //! are fixed-size and can be passed as constants / single parameters.
 
 use crate::config::{AttentionKind, ModelConfig};
+use crate::forward;
 use holistix_linalg::{Matrix, Rng64};
 use holistix_tensor::{Graph, NodeId, ParamId, ParamStore};
+use std::borrow::Cow;
 
 /// Additive value used to mask out attention logits.
-const MASK_VALUE: f64 = -1e9;
+pub(crate) const MASK_VALUE: f64 = -1e9;
 
 /// Parameters of one attention head.
 #[derive(Debug, Clone)]
@@ -158,62 +160,22 @@ impl MultiHeadAttention {
         graph.add_row_broadcast(summed, bias)
     }
 
-    /// Batched forward pass: `x` stacks `masks.len()` sequences of `seq_len` rows
-    /// each (`(B·seq_len) × hidden`), `masks[b]` is the per-sequence mask from
-    /// [`build_mask`](Self::build_mask).
-    ///
-    /// The Q/K/V/O projections run as single stacked matmuls (row-independent, so
-    /// each row is bit-identical to the per-sequence product); only the softmax
-    /// attention mixing is done per sequence, on row slices. Row block `b` of the
-    /// output is therefore bit-identical to [`forward`](Self::forward) on sequence
-    /// `b` alone.
-    pub fn forward_batch(
+    /// The block's weights for the inference forward, read in place from `store`.
+    pub(crate) fn weights<'a>(
         &self,
-        graph: &mut Graph,
-        store: &ParamStore,
-        x: NodeId,
-        masks: &[Matrix],
-        seq_len: usize,
-    ) -> NodeId {
-        let scale = 1.0 / (self.head_dim as f64).sqrt();
-        let mut per_seq: Vec<Option<NodeId>> = vec![None; masks.len()];
-        for head in &self.heads {
-            let wq = graph.param(store, head.wq);
-            let wk = graph.param(store, head.wk);
-            let wv = graph.param(store, head.wv);
-            let wo = graph.param(store, head.wo);
-            let q = graph.matmul(x, wq);
-            let k = graph.matmul(x, wk);
-            let v = graph.matmul(x, wv);
-            let rel = self.relative_bias.map(|r| graph.param(store, r));
-            for (b, mask) in masks.iter().enumerate() {
-                let rows: Vec<usize> = (b * seq_len..(b + 1) * seq_len).collect();
-                let qb = graph.gather(q, &rows);
-                let kb = graph.gather(k, &rows);
-                let vb = graph.gather(v, &rows);
-                let kt = graph.transpose(kb);
-                let scores = graph.matmul(qb, kt);
-                let mut scores = graph.scale(scores, scale);
-                if let Some(rel_node) = rel {
-                    scores = graph.add(scores, rel_node);
-                }
-                let masked = graph.add_const(scores, mask);
-                let attn = graph.softmax_rows(masked);
-                let context = graph.matmul(attn, vb);
-                let projected = graph.matmul(context, wo);
-                per_seq[b] = Some(match per_seq[b] {
-                    None => projected,
-                    Some(acc) => graph.add(acc, projected),
-                });
-            }
+        store: &'a ParamStore,
+    ) -> forward::Attention<'a, f64, &'a Matrix> {
+        forward::Attention {
+            heads: self
+                .heads
+                .iter()
+                .map(|h| [h.wq, h.wk, h.wv, h.wo].map(|id| store.value(id)))
+                .collect(),
+            bias: Cow::Borrowed(store.value(self.output_bias).row(0)),
+            relative_bias: self
+                .relative_bias
+                .map(|id| Cow::Borrowed(store.value(id).data())),
         }
-        let blocks: Vec<NodeId> = per_seq
-            .into_iter()
-            .map(|n| n.expect("attention block must have at least one head"))
-            .collect();
-        let stacked = graph.concat_rows(&blocks);
-        let bias = graph.param(store, self.output_bias);
-        graph.add_row_broadcast(stacked, bias)
     }
 }
 

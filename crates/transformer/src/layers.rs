@@ -3,8 +3,10 @@
 
 use crate::attention::MultiHeadAttention;
 use crate::config::ModelConfig;
+use crate::forward;
 use holistix_linalg::{Matrix, Rng64};
 use holistix_tensor::{Graph, NodeId, ParamId, ParamStore};
+use std::borrow::Cow;
 
 /// Position-wise feed-forward block: `GELU(x W1 + b1) W2 + b2`.
 #[derive(Debug, Clone)]
@@ -80,6 +82,15 @@ impl LayerNormParams {
         let beta = graph.param(store, self.beta);
         graph.layer_norm(x, gamma, beta, self.eps)
     }
+
+    /// Gain, bias and epsilon for the inference forward, read in place from `store`.
+    pub(crate) fn weights<'a>(&self, store: &'a ParamStore) -> forward::LayerNorm<'a, f64> {
+        forward::LayerNorm {
+            gamma: Cow::Borrowed(store.value(self.gamma).row(0)),
+            beta: Cow::Borrowed(store.value(self.beta).row(0)),
+            eps: self.eps,
+        }
+    }
 }
 
 /// One transformer encoder layer with post-layer-norm residual connections:
@@ -139,25 +150,20 @@ impl EncoderLayer {
         self.ln_feed_forward.forward(graph, store, residual2)
     }
 
-    /// Batched forward pass on stacked sequences (`(B·seq_len) × hidden`), with one
-    /// mask per sequence. Everything outside attention is row-wise, so row block `b`
-    /// equals [`forward`](Self::forward) on sequence `b` alone, bitwise.
-    pub fn forward_batch(
-        &self,
-        graph: &mut Graph,
-        store: &ParamStore,
-        x: NodeId,
-        masks: &[Matrix],
-        seq_len: usize,
-    ) -> NodeId {
-        let attended = self
-            .attention
-            .forward_batch(graph, store, x, masks, seq_len);
-        let residual = graph.add(x, attended);
-        let normed = self.ln_attention.forward(graph, store, residual);
-        let ff = self.feed_forward.forward(graph, store, normed);
-        let residual2 = graph.add(normed, ff);
-        self.ln_feed_forward.forward(graph, store, residual2)
+    /// The layer's weights for the inference forward, read in place from `store`.
+    pub(crate) fn weights<'a>(&self, store: &'a ParamStore) -> forward::Layer<'a, f64, &'a Matrix> {
+        let ff = &self.feed_forward;
+        forward::Layer {
+            attention: self.attention.weights(store),
+            ln_attention: self.ln_attention.weights(store),
+            feed_forward: forward::FeedForward {
+                w1: store.value(ff.w1),
+                b1: Cow::Borrowed(store.value(ff.b1).row(0)),
+                w2: store.value(ff.w2),
+                b2: Cow::Borrowed(store.value(ff.b2).row(0)),
+            },
+            ln_feed_forward: self.ln_feed_forward.weights(store),
+        }
     }
 }
 

@@ -31,14 +31,26 @@
 //! * [`layers`] — feed-forward blocks, layer-norm parameter bundles, encoder layers,
 //! * [`model`] — the end-to-end [`TransformerClassifier`](model::TransformerClassifier),
 //! * [`pretrain`] — masked-LM domain-adaptive pre-initialisation,
-//! * [`trainer`] — the fine-tuning loop (Adam, batching, early stopping on validation loss),
+//! * [`trainer`] — the fine-tuning loop (Adam, shuffled mini-batches, gradient clipping),
 //! * [`zoo`] — the named model zoo with per-model recipes,
 //! * [`quant`] — weight-only i8 quantized inference ([`QuantizedTransformer`](quant::QuantizedTransformer)).
 //!
 //! ## Fast path
 //!
-//! Two performance paths sit beside the reference f64 implementation; both are
-//! verified against it rather than merely "close":
+//! The autograd tape (`holistix-tensor`'s `Graph`) is for training only:
+//! `forward_logits`, `batch_loss` and the masked-LM stage run on it. Every
+//! inference path runs one graph-free forward instead (`forward.rs`), which
+//! builds no graph, allocates no gradient buffers and reads the weights in
+//! place: in f64 over a view of the `ParamStore` for
+//! `TransformerClassifier::predict_proba_text(s)` and `Trainer::predict*` —
+//! hence for `holistix-core`'s `TransformerScorer` and
+//! `FittedBaseline::Transformer`, both through
+//! [`Trainer::predict_proba_batch`](trainer::Trainer::predict_proba_batch) —
+//! and in f32 over i8 weights for [`QuantizedTransformer`](quant::QuantizedTransformer).
+//! It scores one sequence at a time and drops the padded tail, which changes
+//! no bit and cuts the quadratic attention cost to the real token count. The
+//! f64 forward equals the softmax of `forward_logits` bit for bit
+//! (property-tested for every architecture variant).
 //!
 //! **Sparse embedding gradients** (on by default). A token sequence touches at most
 //! `max_len` rows of the `vocab × hidden` embedding tables, but the naive tape
@@ -56,32 +68,19 @@
 //! `TransformerClassifier::set_sparse_embedding_grad(false)` restores the dense
 //! reference path (kept for the A/B benchmark in `BENCH_transformer.json`).
 //!
-//! **Quantized i8 inference** ([`quant::QuantizedTransformer`]). Weight-only
-//! symmetric i8 quantization with **per-output-row** absmax scales (per-row rather
-//! than per-tensor: fine-tuned projection columns have uneven ranges, and one
-//! outlier column under a tensor-wide scale would crush every other row's
-//! resolution; the per-row cost is one f32 per output), f32 activations and
-//! accumulation, f64 only at the final class softmax. Layer-norm parameters,
-//! additive biases and the XLNet relative-position bias stay f32 — they are tiny
-//! and feed normalisation statistics directly. The forward pass is graph-free,
-//! its dot products run over eight independent accumulator lanes (breaking the
-//! serial FP-add dependency chain that caps a naive loop at one multiply-add
-//! per add-latency), and it drops the padded tail of each sequence — padding
-//! is always a suffix, masked keys contribute an attention weight of exactly
-//! zero (`exp(-1e9)` underflows in f32), and every pooling mode ignores padded
-//! rows, so the truncation is bit-identical while cutting the quadratic
-//! attention cost to the real token count. The lane-folded summation order
-//! differs from the f64 reference's sequential sums, which is covered by the
-//! drift bound below rather than bit-identity. The class
-//! probability drift versus the f64 scorer is bounded by
+//! **Quantized i8 inference** ([`quant::QuantizedTransformer`]): weight-only
+//! symmetric i8 with per-output-row scales, f32 activations and accumulation,
+//! and f64 only at the class softmax (the [`quant`] docs give the scheme). Its
+//! probabilities drift from the f64 scorer's by at most
 //! [`quant::MAX_PROBABILITY_DRIFT`] (asserted in tests), with 100 % label
-//! agreement on the seeded Table IV task. Pick `QuantizedTransformer` (via
-//! `holistix-core`'s `QuantizedScorer`) when serving throughput matters and a
-//! ≤ [`quant::MAX_PROBABILITY_DRIFT`] probability perturbation is acceptable —
-//! i.e. for ranking/classification, not for calibrated probability readouts.
+//! agreement on the seeded Table IV task. Pick it (via `holistix-core`'s
+//! `QuantizedScorer`) when a probability perturbation of that size is
+//! acceptable — i.e. for ranking/classification, not for calibrated
+//! probability readouts.
 
 pub mod attention;
 pub mod config;
+mod forward;
 pub mod layers;
 pub mod model;
 pub mod pretrain;

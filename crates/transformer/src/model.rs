@@ -10,10 +10,22 @@
 //! embedding matrix (weight tying), exactly as the original BERT does.
 
 use crate::config::{ModelConfig, Pooling};
+use crate::forward::{StoreWeights, Weights};
 use crate::layers::{EncoderLayer, LayerNormParams};
-use holistix_linalg::{softmax, Matrix, Rng64};
+use holistix_linalg::{Matrix, Rng64};
 use holistix_tensor::{Graph, NodeId, ParamId, ParamStore};
 use holistix_text::SubwordTokenizer;
+use std::borrow::Cow;
+
+/// The words the subword encoder sees: a text's non-punctuation tokens,
+/// lowercased. Fitting the vocabulary and encoding a text both split with it.
+pub(crate) fn words(text: &str) -> Vec<String> {
+    holistix_text::tokenize(text)
+        .into_iter()
+        .filter(|t| t.kind != holistix_text::TokenKind::Punctuation)
+        .map(|t| t.lower())
+        .collect()
+}
 
 /// A trainable transformer classifier over subword token sequences.
 #[derive(Debug, Clone)]
@@ -149,13 +161,8 @@ impl TransformerClassifier {
 
     /// Encode a text into a fixed-length (`max_len`) subword id sequence.
     pub fn encode(&self, text: &str) -> Vec<usize> {
-        let words = holistix_text::tokenize(text)
-            .into_iter()
-            .filter(|t| t.kind != holistix_text::TokenKind::Punctuation)
-            .map(|t| t.lower())
-            .collect::<Vec<_>>();
         self.tokenizer
-            .encode_for_classification(&words, self.config.max_len)
+            .encode_for_classification(&words(text), self.config.max_len)
     }
 
     /// Which positions of an encoded sequence are padding.
@@ -278,13 +285,28 @@ impl TransformerClassifier {
         graph.scale(summed, 1.0 / batch.len() as f64)
     }
 
-    /// Class-probability vector for a raw text.
+    /// The weights as the inference forward reads them, borrowed from the store.
+    pub(crate) fn weights(&self) -> StoreWeights<'_> {
+        let store = &self.store;
+        Weights {
+            token_embedding: store.value(self.token_embedding),
+            position_embedding: store.value(self.position_embedding),
+            embedding_norm: self.embedding_norm.weights(store),
+            layers: self.layers.iter().map(|l| l.weights(store)).collect(),
+            bottleneck: self
+                .bottleneck
+                .map(|(w, b)| (store.value(w), Cow::Borrowed(store.value(b).row(0)))),
+            head: store.value(self.head_weight),
+            head_bias: Cow::Borrowed(store.value(self.head_bias).row(0)),
+        }
+    }
+
+    /// Class-probability vector for a raw text, through the graph-free
+    /// inference forward; bit-identical to the softmax of
+    /// [`forward_logits`](Self::forward_logits) without dropout.
     pub fn predict_proba_text(&self, text: &str) -> Vec<f64> {
-        let tokens = self.encode(text);
-        let mut rng = Rng64::new(0);
-        let mut graph = Graph::new();
-        let logits = self.forward_logits(&mut graph, &tokens, false, &mut rng);
-        softmax(graph.value(logits).row(0))
+        self.weights()
+            .probabilities(&self.config, &self.encode(text), self.tokenizer.pad_id())
     }
 
     /// Hard prediction for a raw text.
@@ -292,87 +314,15 @@ impl TransformerClassifier {
         holistix_linalg::argmax(&self.predict_proba_text(text)).unwrap_or(0)
     }
 
-    /// Run the encoder stack on several padded sequences stacked into one
-    /// `(B·max_len) × hidden` node. Inference-only (no dropout). Row block `b` is
-    /// bit-identical to [`encode_hidden`](Self::encode_hidden) on `sequences[b]`:
-    /// every op outside attention is row-wise, and the batched attention mixes rows
-    /// per sequence only.
-    fn encode_hidden_batch(&self, graph: &mut Graph, sequences: &[&[usize]]) -> NodeId {
-        let seq_len = self.config.max_len;
-        let mut all_tokens = Vec::with_capacity(sequences.len() * seq_len);
-        let mut all_positions = Vec::with_capacity(sequences.len() * seq_len);
-        for seq in sequences {
-            assert_eq!(
-                seq.len(),
-                seq_len,
-                "token sequence must be padded to max_len"
-            );
-            all_tokens.extend_from_slice(seq);
-            all_positions.extend(0..seq_len);
-        }
-        let token_emb = graph.gather_param(&self.store, self.token_embedding, &all_tokens);
-        let position_emb = graph.gather_param(&self.store, self.position_embedding, &all_positions);
-        let summed = graph.add(token_emb, position_emb);
-        let mut hidden = self.embedding_norm.forward(graph, &self.store, summed);
-        for layer in &self.layers {
-            let masks: Vec<Matrix> = sequences
-                .iter()
-                .map(|seq| layer.build_mask(&self.padding_mask(seq)))
-                .collect();
-            hidden = layer.forward_batch(graph, &self.store, hidden, &masks, seq_len);
-        }
-        hidden
-    }
-
-    /// Class-probability vectors for a batch of raw texts, one row per text. One
-    /// padded batch goes through the model; each row is bit-identical to
-    /// [`predict_proba_text`](Self::predict_proba_text) on that text.
+    /// Class-probability vectors for a batch of raw texts, one row per text:
+    /// [`predict_proba_text`](Self::predict_proba_text) on each, with the
+    /// weight view built once for the call.
     pub fn predict_proba_texts(&self, texts: &[&str]) -> Vec<Vec<f64>> {
-        if texts.is_empty() {
-            return Vec::new();
-        }
-        let encoded: Vec<Vec<usize>> = texts.iter().map(|t| self.encode(t)).collect();
-        let sequences: Vec<&[usize]> = encoded.iter().map(|v| v.as_slice()).collect();
-        let mut graph = Graph::new();
-        let hidden = self.encode_hidden_batch(&mut graph, &sequences);
-        let seq_len = self.config.max_len;
-        let pooled_rows: Vec<NodeId> = sequences
+        let weights = self.weights();
+        let pad = self.tokenizer.pad_id();
+        texts
             .iter()
-            .enumerate()
-            .map(|(b, seq)| {
-                let base = b * seq_len;
-                let is_padding = self.padding_mask(seq);
-                match self.config.pooling {
-                    Pooling::Cls => graph.row_select(hidden, base),
-                    Pooling::Mean => {
-                        let non_pad: Vec<usize> = (0..seq_len)
-                            .filter(|&i| !is_padding[i])
-                            .map(|i| base + i)
-                            .collect();
-                        let selected = graph.gather(hidden, &non_pad);
-                        graph.mean_rows(selected)
-                    }
-                    Pooling::LastToken => {
-                        let last = (0..seq_len).rev().find(|&i| !is_padding[i]).unwrap_or(0);
-                        graph.row_select(hidden, base + last)
-                    }
-                }
-            })
-            .collect();
-        let mut pooled = graph.concat_rows(&pooled_rows);
-        if let Some((w, b)) = self.bottleneck {
-            let wn = graph.param(&self.store, w);
-            let bn = graph.param(&self.store, b);
-            let h = graph.matmul(pooled, wn);
-            let h = graph.add_row_broadcast(h, bn);
-            pooled = graph.gelu(h);
-        }
-        let w = graph.param(&self.store, self.head_weight);
-        let b = graph.param(&self.store, self.head_bias);
-        let logits = graph.matmul(pooled, w);
-        let logits = graph.add_row_broadcast(logits, b);
-        (0..texts.len())
-            .map(|r| softmax(graph.value(logits).row(r)))
+            .map(|text| weights.probabilities(&self.config, &self.encode(text), pad))
             .collect()
     }
 
@@ -387,7 +337,7 @@ impl TransformerClassifier {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::ModelKind;
     use holistix_tensor::{Adam, Optimizer};
@@ -517,9 +467,18 @@ mod tests {
         let _ = model.encode_hidden(&mut graph, &[1, 2, 3], false, &mut rng);
     }
 
+    /// The tape's inference answer: softmax of `forward_logits` without dropout.
+    pub(crate) fn tape_probabilities(model: &TransformerClassifier, text: &str) -> Vec<f64> {
+        let mut graph = Graph::new();
+        let logits =
+            model.forward_logits(&mut graph, &model.encode(text), false, &mut Rng64::new(0));
+        holistix_linalg::softmax(graph.value(logits).row(0))
+    }
+
     #[test]
     fn batched_prediction_is_bit_identical_to_per_text() {
-        // Every pooling strategy and attention pattern must survive batching.
+        // Every pooling strategy and attention pattern must match the tape,
+        // through the batch entry and the single-text entry.
         for kind in [
             ModelKind::Bert,   // CLS pooling, bidirectional
             ModelKind::FlanT5, // mean pooling, bottleneck head
@@ -535,8 +494,9 @@ mod tests {
             let batched = model.predict_proba_texts(&texts);
             assert_eq!(batched.len(), texts.len());
             for (text, row) in texts.iter().zip(&batched) {
-                let single = model.predict_proba_text(text);
-                assert_eq!(&single, row, "{kind:?} batched row diverged for {text:?}");
+                let tape = tape_probabilities(&model, text);
+                assert_eq!(&tape, row, "{kind:?} batched row diverged for {text:?}");
+                assert_eq!(tape, model.predict_proba_text(text), "{kind:?} on {text:?}");
             }
         }
     }

@@ -19,27 +19,29 @@
 //! `max_len²`), so quantizing them saves almost nothing while directly injecting
 //! error into the normalisation statistics.
 //!
-//! The forward pass never builds an autograd graph, which is where most of the
-//! measured speedup over the f64 scorer comes from on small models; the i8 weights
-//! additionally shrink the working set ~8× for the matmul-bound large-batch case.
+//! The i8 model runs the same graph-free forward as the f64 one
+//! ([`crate::forward`], padded-tail skip included); this module supplies its
+//! weight types and its f32 arithmetic. What it gains over the f64 model is
+//! f32 dot products over eight independent accumulator lanes and a weight
+//! working set about 8× smaller.
 //!
 //! The end-to-end probability drift versus the f64 path is bounded by
 //! [`MAX_PROBABILITY_DRIFT`] (asserted in tests and in the `holistix-core`
 //! equivalence suite; label agreement on the seeded Table IV task is exactly 100 %).
 
-use crate::config::{AttentionKind, ModelConfig, Pooling};
-use crate::model::TransformerClassifier;
+use crate::config::ModelConfig;
+use crate::forward::{
+    Attention, Embedding, FeedForward, Layer, LayerNorm, Linear, Scalar, StoreWeights, Weights,
+};
+use crate::model::{words, TransformerClassifier};
 use holistix_linalg::Matrix;
-use holistix_tensor::{ParamId, ParamStore};
 use holistix_text::SubwordTokenizer;
+use std::borrow::Cow;
 
 /// Documented bound on `max |p_i8 - p_f64|` over class probabilities, for the
 /// tiny-to-`Fast`-profile models this crate trains. Asserted by the equivalence
 /// tests here and in `holistix-core`.
 pub const MAX_PROBABILITY_DRIFT: f64 = 0.05;
-
-/// Additive value used to mask out attention logits (mirrors the f64 path).
-const MASK_VALUE: f32 = -1e9;
 
 /// A weight matrix quantized to per-output-row symmetric i8.
 ///
@@ -110,20 +112,21 @@ impl QuantLinear {
         }
     }
 
-    /// Apply to every row of `x` (`n × in_dim`, row-major), writing `n × out_dim`.
-    fn apply_rows(&self, x: &[f32], n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; n * self.out_dim];
-        for r in 0..n {
-            self.apply(
-                &x[r * self.in_dim..(r + 1) * self.in_dim],
-                &mut out[r * self.out_dim..(r + 1) * self.out_dim],
-            );
-        }
-        out
-    }
-
     fn n_weights(&self) -> usize {
         self.weights.len()
+    }
+}
+
+impl Linear<f32> for QuantLinear {
+    fn apply_rows(&self, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; x.len() / self.in_dim * self.out_dim];
+        for (row, out_row) in x
+            .chunks_exact(self.in_dim)
+            .zip(out.chunks_exact_mut(self.out_dim))
+        {
+            self.apply(row, out_row);
+        }
+        out
     }
 }
 
@@ -157,6 +160,12 @@ impl QuantEmbedding {
         }
     }
 
+    fn n_weights(&self) -> usize {
+        self.weights.len()
+    }
+}
+
+impl Embedding<f32> for QuantEmbedding {
     /// Dequantize row `r` into `out`.
     fn lookup(&self, r: usize, out: &mut [f32]) {
         let scale = self.scales[r];
@@ -167,363 +176,45 @@ impl QuantEmbedding {
             *o = q as f32 * scale;
         }
     }
-
-    fn n_weights(&self) -> usize {
-        self.weights.len()
-    }
 }
 
-/// Layer-norm parameters kept in f32.
-#[derive(Debug, Clone)]
-struct LayerNormF32 {
-    gamma: Vec<f32>,
-    beta: Vec<f32>,
-    eps: f32,
-}
+/// The f32 arithmetic of the i8 model.
+impl Scalar for f32 {
+    fn from_f64(x: f64) -> f32 {
+        x as f32
+    }
 
-impl LayerNormF32 {
-    /// Normalise every `dim`-sized row of `x` in place.
-    fn apply(&self, x: &mut [f32]) {
-        let dim = self.gamma.len();
-        for row in x.chunks_mut(dim) {
-            let mean = row.iter().sum::<f32>() / dim as f32;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / dim as f32;
-            let std = (var + self.eps).sqrt();
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = (*v - mean) / std * self.gamma[j] + self.beta[j];
-            }
+    fn gelu(self) -> f32 {
+        let x = self;
+        0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
+    }
+
+    fn softmax(row: &mut [f32]) {
+        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
         }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct QuantHead {
-    wq: QuantLinear,
-    wk: QuantLinear,
-    wv: QuantLinear,
-    wo: QuantLinear,
-}
-
-#[derive(Debug, Clone)]
-struct QuantEncoderLayer {
-    heads: Vec<QuantHead>,
-    attn_bias: Vec<f32>,
-    /// `max_len × max_len` additive relative-position bias, row-major (XLNet only).
-    rel_bias: Option<Vec<f32>>,
-    ln_attn: LayerNormF32,
-    ffn_w1: QuantLinear,
-    ffn_b1: Vec<f32>,
-    ffn_w2: QuantLinear,
-    ffn_b2: Vec<f32>,
-    ln_ffn: LayerNormF32,
-}
-
-/// A fitted transformer classifier with i8-quantized weights, f32 activations and
-/// f64 only at the class-softmax boundary. See the module docs for the scheme.
-#[derive(Debug, Clone)]
-pub struct QuantizedTransformer {
-    config: ModelConfig,
-    name: String,
-    tokenizer: SubwordTokenizer,
-    token_embedding: QuantEmbedding,
-    position_embedding: QuantEmbedding,
-    embedding_norm: LayerNormF32,
-    layers: Vec<QuantEncoderLayer>,
-    bottleneck: Option<(QuantLinear, Vec<f32>)>,
-    head: QuantLinear,
-    head_bias: Vec<f32>,
-}
-
-fn param_by_name(store: &ParamStore, name: &str) -> ParamId {
-    store
-        .ids()
-        .into_iter()
-        .find(|&id| store.name(id) == name)
-        .unwrap_or_else(|| panic!("quantization: parameter {name} missing from store"))
-}
-
-fn matrix<'a>(store: &'a ParamStore, name: &str) -> &'a Matrix {
-    store.value(param_by_name(store, name))
-}
-
-fn row_f32(store: &ParamStore, name: &str) -> Vec<f32> {
-    matrix(store, name)
-        .row(0)
-        .iter()
-        .map(|&v| v as f32)
-        .collect()
-}
-
-fn layer_norm_f32(store: &ParamStore, prefix: &str, eps: f64) -> LayerNormF32 {
-    LayerNormF32 {
-        gamma: row_f32(store, &format!("{prefix}.gamma")),
-        beta: row_f32(store, &format!("{prefix}.beta")),
-        eps: eps as f32,
-    }
-}
-
-impl QuantizedTransformer {
-    /// Quantize a fitted classifier. The original model is left untouched.
-    pub fn from_classifier(model: &TransformerClassifier) -> Self {
-        let config = model.config().clone();
-        let store = model.store();
-        let eps = config.layer_norm_eps;
-        let layers = (0..config.n_layers)
-            .map(|l| {
-                let heads = (0..config.n_heads)
-                    .map(|h| {
-                        let p = format!("layer{l}.attn.head{h}");
-                        QuantHead {
-                            wq: QuantLinear::from_matrix(matrix(store, &format!("{p}.wq"))),
-                            wk: QuantLinear::from_matrix(matrix(store, &format!("{p}.wk"))),
-                            wv: QuantLinear::from_matrix(matrix(store, &format!("{p}.wv"))),
-                            wo: QuantLinear::from_matrix(matrix(store, &format!("{p}.wo"))),
-                        }
-                    })
-                    .collect();
-                let rel_bias = (config.attention == AttentionKind::Relative).then(|| {
-                    matrix(store, &format!("layer{l}.attn.rel_bias"))
-                        .data()
-                        .iter()
-                        .map(|&v| v as f32)
-                        .collect()
-                });
-                QuantEncoderLayer {
-                    heads,
-                    attn_bias: row_f32(store, &format!("layer{l}.attn.bias")),
-                    rel_bias,
-                    ln_attn: layer_norm_f32(store, &format!("layer{l}.ln_attn"), eps),
-                    ffn_w1: QuantLinear::from_matrix(matrix(store, &format!("layer{l}.ffn.w1"))),
-                    ffn_b1: row_f32(store, &format!("layer{l}.ffn.b1")),
-                    ffn_w2: QuantLinear::from_matrix(matrix(store, &format!("layer{l}.ffn.w2"))),
-                    ffn_b2: row_f32(store, &format!("layer{l}.ffn.b2")),
-                    ln_ffn: layer_norm_f32(store, &format!("layer{l}.ln_ffn"), eps),
-                }
-            })
-            .collect();
-        let bottleneck = config.bottleneck_head.then(|| {
-            (
-                QuantLinear::from_matrix(matrix(store, "head.bottleneck.w")),
-                row_f32(store, "head.bottleneck.b"),
-            )
-        });
-        Self {
-            token_embedding: QuantEmbedding::from_matrix(matrix(store, "embeddings.token")),
-            position_embedding: QuantEmbedding::from_matrix(matrix(store, "embeddings.position")),
-            embedding_norm: layer_norm_f32(store, "embeddings.ln", eps),
-            layers,
-            bottleneck,
-            head: QuantLinear::from_matrix(matrix(store, "head.w")),
-            head_bias: row_f32(store, "head.b"),
-            name: format!("{}-i8", model.name()),
-            tokenizer: model.tokenizer().clone(),
-            config,
+        for v in row.iter_mut() {
+            *v /= sum;
         }
     }
 
-    /// The model's display name (`<original>-i8`).
-    pub fn name(&self) -> &str {
-        &self.name
+    fn layer_norm(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+        let dim = row.len();
+        let mean = row.iter().sum::<f32>() / dim as f32;
+        let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / dim as f32;
+        let std = (var + eps).sqrt();
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = (*v - mean) / std * gamma[j] + beta[j];
+        }
     }
 
-    /// The architecture configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    /// Number of i8-quantized scalar weights.
-    pub fn n_quantized_weights(&self) -> usize {
-        let mut n = self.token_embedding.n_weights() + self.position_embedding.n_weights();
-        for layer in &self.layers {
-            for head in &layer.heads {
-                n += head.wq.n_weights()
-                    + head.wk.n_weights()
-                    + head.wv.n_weights()
-                    + head.wo.n_weights();
-            }
-            n += layer.ffn_w1.n_weights() + layer.ffn_w2.n_weights();
-        }
-        if let Some((w, _)) = &self.bottleneck {
-            n += w.n_weights();
-        }
-        n + self.head.n_weights()
-    }
-
-    fn encode(&self, text: &str) -> Vec<usize> {
-        let words = holistix_text::tokenize(text)
-            .into_iter()
-            .filter(|t| t.kind != holistix_text::TokenKind::Punctuation)
-            .map(|t| t.lower())
-            .collect::<Vec<_>>();
-        self.tokenizer
-            .encode_for_classification(&words, self.config.max_len)
-    }
-
-    /// Run the encoder stack, returning `max_len × hidden` f32 hidden states.
-    fn encode_hidden(&self, tokens: &[usize], is_padding: &[bool]) -> Vec<f32> {
-        let n = tokens.len();
-        let hidden_dim = self.config.hidden_dim;
-        let mut hidden = vec![0.0f32; n * hidden_dim];
-        let mut pos_row = vec![0.0f32; hidden_dim];
-        for (i, &tok) in tokens.iter().enumerate() {
-            let row = &mut hidden[i * hidden_dim..(i + 1) * hidden_dim];
-            self.token_embedding.lookup(tok, row);
-            self.position_embedding.lookup(i, &mut pos_row);
-            for (h, p) in row.iter_mut().zip(&pos_row) {
-                *h += p;
-            }
-        }
-        self.embedding_norm.apply(&mut hidden);
-        for layer in &self.layers {
-            hidden = self.encoder_layer(layer, &hidden, is_padding);
-        }
-        hidden
-    }
-
-    fn encoder_layer(&self, layer: &QuantEncoderLayer, x: &[f32], is_padding: &[bool]) -> Vec<f32> {
-        let n = is_padding.len();
-        let hidden_dim = self.config.hidden_dim;
-        let head_dim = self.config.head_dim();
-        let causal = self.config.attention == AttentionKind::Causal;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-
-        let mut attended = vec![0.0f32; n * hidden_dim];
-        let mut scores = vec![0.0f32; n * n];
-        for head in &layer.heads {
-            let q = head.wq.apply_rows(x, n);
-            let k = head.wk.apply_rows(x, n);
-            let v = head.wv.apply_rows(x, n);
-            for i in 0..n {
-                let qi = &q[i * head_dim..(i + 1) * head_dim];
-                for j in 0..n {
-                    let kj = &k[j * head_dim..(j + 1) * head_dim];
-                    let mut s = dot_f32(qi, kj) * scale;
-                    if let Some(rel) = &layer.rel_bias {
-                        s += rel[i * self.config.max_len + j];
-                    }
-                    if is_padding[j] || (causal && j > i) {
-                        s += MASK_VALUE;
-                    }
-                    scores[i * n + j] = s;
-                }
-                softmax_row_f32(&mut scores[i * n..(i + 1) * n]);
-            }
-            let mut context = vec![0.0f32; n * head_dim];
-            for i in 0..n {
-                let out = &mut context[i * head_dim..(i + 1) * head_dim];
-                for j in 0..n {
-                    let w = scores[i * n + j];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    for (o, &vv) in out.iter_mut().zip(&v[j * head_dim..(j + 1) * head_dim]) {
-                        *o += w * vv;
-                    }
-                }
-            }
-            let projected = head.wo.apply_rows(&context, n);
-            for (a, p) in attended.iter_mut().zip(&projected) {
-                *a += p;
-            }
-        }
-        // Residual + output bias, then post-LN; FFN; residual; post-LN.
-        let mut normed = vec![0.0f32; n * hidden_dim];
-        for r in 0..n {
-            for c in 0..hidden_dim {
-                let idx = r * hidden_dim + c;
-                normed[idx] = x[idx] + attended[idx] + layer.attn_bias[c];
-            }
-        }
-        layer.ln_attn.apply(&mut normed);
-        let mut ff = layer.ffn_w1.apply_rows(&normed, n);
-        for row in ff.chunks_mut(layer.ffn_b1.len()) {
-            for (v, b) in row.iter_mut().zip(&layer.ffn_b1) {
-                *v = gelu_f32(*v + b);
-            }
-        }
-        let mut out = layer.ffn_w2.apply_rows(&ff, n);
-        for r in 0..n {
-            for c in 0..hidden_dim {
-                let idx = r * hidden_dim + c;
-                out[idx] += layer.ffn_b2[c] + normed[idx];
-            }
-        }
-        layer.ln_ffn.apply(&mut out);
-        out
-    }
-
-    /// Class-probability vector for a raw text (f64 only at this softmax).
-    pub fn predict_proba_text(&self, text: &str) -> Vec<f64> {
-        let padded = self.encode(text);
-        let padding: Vec<bool> = padded
-            .iter()
-            .map(|&t| t == self.tokenizer.pad_id())
-            .collect();
-        // Padding is a suffix of the encoded sequence, its keys are masked to
-        // an attention weight of exactly zero (`exp(-1e9)` underflows in f32)
-        // and every pooling mode ignores padded rows, so dropping the padded
-        // tail is bit-identical to processing it — and attention is quadratic
-        // in the rows processed. The f64 path keeps the full padded sequence
-        // (its autograd graph is shared with training); this shortcut is part
-        // of the quantized scorer's speedup.
-        let n_real = padding.iter().position(|&p| p).unwrap_or(padded.len());
-        let (tokens, is_padding) = if padding[n_real..].iter().all(|&p| p) {
-            (&padded[..n_real], &padding[..n_real])
-        } else {
-            (&padded[..], &padding[..])
-        };
-        let hidden = self.encode_hidden(tokens, is_padding);
-        let hidden_dim = self.config.hidden_dim;
-        let n = tokens.len();
-        let mut pooled = vec![0.0f32; hidden_dim];
-        match self.config.pooling {
-            Pooling::Cls => pooled.copy_from_slice(&hidden[..hidden_dim]),
-            Pooling::Mean => {
-                let non_pad: Vec<usize> = (0..n).filter(|&i| !is_padding[i]).collect();
-                for &i in &non_pad {
-                    for (p, &h) in pooled
-                        .iter_mut()
-                        .zip(&hidden[i * hidden_dim..(i + 1) * hidden_dim])
-                    {
-                        *p += h;
-                    }
-                }
-                let count = non_pad.len().max(1) as f32;
-                for p in &mut pooled {
-                    *p /= count;
-                }
-            }
-            Pooling::LastToken => {
-                let last = (0..n).rev().find(|&i| !is_padding[i]).unwrap_or(0);
-                pooled.copy_from_slice(&hidden[last * hidden_dim..(last + 1) * hidden_dim]);
-            }
-        }
-        if let Some((w, b)) = &self.bottleneck {
-            let mut h = vec![0.0f32; w.out_dim];
-            w.apply(&pooled, &mut h);
-            for (v, bias) in h.iter_mut().zip(b) {
-                *v = gelu_f32(*v + bias);
-            }
-            pooled = h;
-        }
-        let mut logits = vec![0.0f32; self.config.n_classes];
-        self.head.apply(&pooled, &mut logits);
-        let logits_f64: Vec<f64> = logits
-            .iter()
-            .zip(&self.head_bias)
-            .map(|(&l, &b)| (l + b) as f64)
-            .collect();
-        holistix_linalg::softmax(&logits_f64)
-    }
-
-    /// Class-probability vectors for a batch of texts, one row per text.
-    pub fn predict_proba_texts(&self, texts: &[&str]) -> Vec<Vec<f64>> {
-        texts.iter().map(|t| self.predict_proba_text(t)).collect()
-    }
-
-    /// Hard prediction for a raw text.
-    pub fn predict_text(&self, text: &str) -> usize {
-        holistix_linalg::argmax(&self.predict_proba_text(text)).unwrap_or(0)
+    fn scores(q: &[f32], k: &[f32], head_dim: usize) -> Vec<f32> {
+        q.chunks_exact(head_dim)
+            .flat_map(|qi| k.chunks_exact(head_dim).map(move |kj| dot_f32(qi, kj)))
+            .collect()
     }
 }
 
@@ -545,20 +236,130 @@ fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     total
 }
 
-fn softmax_row_f32(row: &mut [f32]) {
-    let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    for v in row.iter_mut() {
-        *v /= sum;
+/// The i8 model's weights: quantized matrices, f32 vectors.
+type QuantWeights = Weights<'static, f32, QuantLinear, QuantEmbedding>;
+
+fn vector(v: &[f64]) -> Cow<'static, [f32]> {
+    Cow::Owned(v.iter().map(|&x| x as f32).collect())
+}
+
+fn layer_norm(ln: &LayerNorm<'_, f64>) -> LayerNorm<'static, f32> {
+    LayerNorm {
+        gamma: vector(&ln.gamma),
+        beta: vector(&ln.beta),
+        eps: ln.eps as f32,
     }
 }
 
-fn gelu_f32(x: f32) -> f32 {
-    0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
+fn quantize(w: &StoreWeights<'_>) -> QuantWeights {
+    let layers = w
+        .layers
+        .iter()
+        .map(|layer| Layer {
+            attention: Attention {
+                heads: layer
+                    .attention
+                    .heads
+                    .iter()
+                    .map(|head| head.map(QuantLinear::from_matrix))
+                    .collect(),
+                bias: vector(&layer.attention.bias),
+                relative_bias: layer.attention.relative_bias.as_deref().map(vector),
+            },
+            ln_attention: layer_norm(&layer.ln_attention),
+            feed_forward: FeedForward {
+                w1: QuantLinear::from_matrix(layer.feed_forward.w1),
+                b1: vector(&layer.feed_forward.b1),
+                w2: QuantLinear::from_matrix(layer.feed_forward.w2),
+                b2: vector(&layer.feed_forward.b2),
+            },
+            ln_feed_forward: layer_norm(&layer.ln_feed_forward),
+        })
+        .collect();
+    Weights {
+        token_embedding: QuantEmbedding::from_matrix(w.token_embedding),
+        position_embedding: QuantEmbedding::from_matrix(w.position_embedding),
+        embedding_norm: layer_norm(&w.embedding_norm),
+        layers,
+        bottleneck: w
+            .bottleneck
+            .as_ref()
+            .map(|(m, b)| (QuantLinear::from_matrix(m), vector(b))),
+        head: QuantLinear::from_matrix(w.head),
+        head_bias: vector(&w.head_bias),
+    }
+}
+
+/// A fitted transformer classifier with i8-quantized weights, f32 activations and
+/// f64 only at the class-softmax boundary. See the module docs for the scheme.
+#[derive(Debug, Clone)]
+pub struct QuantizedTransformer {
+    config: ModelConfig,
+    name: String,
+    tokenizer: SubwordTokenizer,
+    weights: QuantWeights,
+}
+
+impl QuantizedTransformer {
+    /// Quantize a fitted classifier. The original model is left untouched.
+    pub fn from_classifier(model: &TransformerClassifier) -> Self {
+        Self {
+            weights: quantize(&model.weights()),
+            name: format!("{}-i8", model.name()),
+            tokenizer: model.tokenizer().clone(),
+            config: model.config().clone(),
+        }
+    }
+
+    /// The model's display name (`<original>-i8`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The architecture configuration.
+    pub fn config(&self) -> &ModelConfig {
+        &self.config
+    }
+
+    /// Number of i8-quantized scalar weights.
+    pub fn n_quantized_weights(&self) -> usize {
+        let w = &self.weights;
+        let mut n =
+            w.token_embedding.n_weights() + w.position_embedding.n_weights() + w.head.n_weights();
+        for layer in &w.layers {
+            n += layer
+                .attention
+                .heads
+                .iter()
+                .flatten()
+                .map(QuantLinear::n_weights)
+                .sum::<usize>();
+            n += layer.feed_forward.w1.n_weights() + layer.feed_forward.w2.n_weights();
+        }
+        if let Some((b, _)) = &w.bottleneck {
+            n += b.n_weights();
+        }
+        n
+    }
+
+    /// Class-probability vector for a raw text (f64 only at this softmax).
+    pub fn predict_proba_text(&self, text: &str) -> Vec<f64> {
+        let tokens = self
+            .tokenizer
+            .encode_for_classification(&words(text), self.config.max_len);
+        self.weights
+            .probabilities(&self.config, &tokens, self.tokenizer.pad_id())
+    }
+
+    /// Class-probability vectors for a batch of texts, one row per text.
+    pub fn predict_proba_texts(&self, texts: &[&str]) -> Vec<Vec<f64>> {
+        texts.iter().map(|t| self.predict_proba_text(t)).collect()
+    }
+
+    /// Hard prediction for a raw text.
+    pub fn predict_text(&self, text: &str) -> usize {
+        holistix_linalg::argmax(&self.predict_proba_text(text)).unwrap_or(0)
+    }
 }
 
 #[cfg(test)]

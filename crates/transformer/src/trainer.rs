@@ -7,7 +7,7 @@
 //! `(texts, labels, seed)` triple always produces the same fitted model.
 
 use crate::config::{ModelConfig, ModelKind};
-use crate::model::TransformerClassifier;
+use crate::model::{words, TransformerClassifier};
 use crate::pretrain::{pretrain_masked_lm, PretrainConfig, PretrainSummary};
 use holistix_linalg::Rng64;
 use holistix_tensor::{clip_gradients, Adam, Graph, Optimizer};
@@ -124,12 +124,7 @@ impl Trainer {
         // 1. Tokenizer from the training split.
         let mut vocab_builder = SubwordVocabBuilder::new(self.finetune.subword_vocab_size);
         for text in texts {
-            let words: Vec<String> = holistix_text::tokenize(text)
-                .into_iter()
-                .filter(|t| t.kind != holistix_text::TokenKind::Punctuation)
-                .map(|t| t.lower())
-                .collect();
-            vocab_builder.add_words(&words);
+            vocab_builder.add_words(&words(text));
         }
         let tokenizer = vocab_builder.build();
 
@@ -196,7 +191,11 @@ impl Trainer {
             .model
             .as_ref()
             .expect("Trainer::predict called before fit");
-        texts.iter().map(|t| model.predict_text(t)).collect()
+        model
+            .predict_proba_texts(texts)
+            .iter()
+            .map(|p| holistix_linalg::argmax(p).unwrap_or(0))
+            .collect()
     }
 
     /// Class-probability vector for one text. Panics if `fit` has not run.
@@ -209,11 +208,11 @@ impl Trainer {
     }
 
     /// Class-probability vectors for a batch of texts, one row per text.
-    /// The batch entry point the serving layer's `Scorer` seam calls; the whole
-    /// batch goes through the model as one padded stack, and each row equals
-    /// [`predict_proba`](Self::predict_proba) on that text exactly (every op
-    /// outside attention is row-wise, and batched attention mixes rows per
-    /// sequence only). Panics if `fit` has not run.
+    /// The batch entry point of both transformer scorers (the serving
+    /// layer's `Scorer` seam and the baseline pipeline): each text runs the
+    /// graph-free inference forward alone, so each row equals
+    /// [`predict_proba`](Self::predict_proba) on that text exactly. Panics if
+    /// `fit` has not run.
     pub fn predict_proba_batch(&self, texts: &[&str]) -> Vec<Vec<f64>> {
         let model = self
             .model
@@ -345,7 +344,9 @@ mod tests {
         let mut trainer = Trainer::new(ModelKind::MentalBert, model_config, finetune);
         trainer.fit(&texts, &labels);
         let batched = trainer.predict_proba_batch(&texts);
+        let model = trainer.model().unwrap();
         for (text, row) in texts.iter().zip(&batched) {
+            assert_eq!(&crate::model::tests::tape_probabilities(model, text), row);
             assert_eq!(&trainer.predict_proba(text), row);
         }
     }

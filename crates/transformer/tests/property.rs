@@ -1,15 +1,26 @@
 //! Property-based tests for the transformer fast path: sparse embedding
 //! gradients must be bit-identical to the dense scatter across random corpora
-//! and seeds, batched inference must match per-text inference bitwise, and
-//! quantized i8 probabilities must stay within the documented drift bound for
-//! arbitrary inputs.
+//! and seeds, the graph-free inference forward must match the autograd tape
+//! bitwise, and quantized i8 probabilities must stay within the documented
+//! drift bound for arbitrary inputs.
 
 use std::sync::OnceLock;
 
+use holistix_linalg::{softmax, Rng64};
+use holistix_tensor::Graph;
+use holistix_text::SubwordVocabBuilder;
 use holistix_transformer::{
-    FineTuneConfig, ModelConfig, ModelKind, QuantizedTransformer, Trainer, MAX_PROBABILITY_DRIFT,
+    FineTuneConfig, ModelConfig, ModelKind, QuantizedTransformer, Trainer, TransformerClassifier,
+    MAX_PROBABILITY_DRIFT,
 };
 use proptest::prelude::*;
+
+/// The tape's inference answer: softmax of `forward_logits` without dropout.
+fn tape_probabilities(model: &TransformerClassifier, text: &str) -> Vec<f64> {
+    let mut graph = Graph::new();
+    let logits = model.forward_logits(&mut graph, &model.encode(text), false, &mut Rng64::new(0));
+    softmax(graph.value(logits).row(0))
+}
 
 /// A deliberately tiny configuration so a full two-way fit per proptest case
 /// stays in the milliseconds range.
@@ -130,8 +141,8 @@ proptest! {
         }
     }
 
-    /// Batched prediction is bit-identical to scoring each text alone — the
-    /// padded batch must not leak across rows, whatever the batch mix.
+    /// Batched prediction is bit-identical to the tape scoring each text
+    /// alone, whatever the batch mix.
     #[test]
     fn batched_prediction_is_bit_identical_for_random_batches(
         texts in proptest::collection::vec("[a-z]{1,8}( [a-z]{1,8}){0,6}", 1..7),
@@ -140,12 +151,105 @@ proptest! {
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         let batched = trainer.predict_proba_batch(&refs);
         prop_assert_eq!(batched.len(), refs.len());
+        let model = trainer.model().unwrap();
         for (text, row) in refs.iter().zip(&batched) {
-            prop_assert_eq!(&trainer.predict_proba(text), row);
+            prop_assert_eq!(&tape_probabilities(model, text), row);
         }
         let q_batched = quantized.predict_proba_texts(&refs);
         for (text, row) in refs.iter().zip(&q_batched) {
             prop_assert_eq!(&quantized.predict_proba_text(text), row);
         }
+    }
+}
+
+/// The four architecture variants the forward branches on.
+const VARIANTS: [ModelKind; 4] = [
+    ModelKind::Bert,   // CLS pooling, bidirectional attention
+    ModelKind::FlanT5, // mean pooling, bottleneck head
+    ModelKind::Gpt2,   // causal attention, last-token pooling
+    ModelKind::Xlnet,  // relative position bias
+];
+
+/// A word the shared tokenizer keeps as one piece.
+const ONE_PIECE: &str = "feel";
+
+/// One untrained model per variant with every parameter drawn at random, so
+/// biases, layer-norm gains and the relative bias are all nonzero.
+fn random_models() -> &'static [TransformerClassifier] {
+    static MODELS: OnceLock<Vec<TransformerClassifier>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let mut builder = SubwordVocabBuilder::new(200);
+        for text in [
+            "i feel exhausted and cannot sleep",
+            "my job drains me and money is tight",
+            "i feel alone without my friends",
+            "life feels meaningless and i feel empty",
+        ] {
+            builder.add_words(&text.split_whitespace().collect::<Vec<_>>());
+        }
+        let tokenizer = builder.build();
+        VARIANTS
+            .iter()
+            .map(|&kind| {
+                let mut config = ModelConfig::for_kind(kind, 6);
+                config.hidden_dim = 8;
+                config.n_heads = 2;
+                config.ff_dim = 16;
+                config.max_len = 10;
+                let mut model =
+                    TransformerClassifier::new(config, kind.name(), tokenizer.clone(), 3);
+                let mut rng = Rng64::new(kind as u64 + 1);
+                for id in model.store().ids() {
+                    for v in model.store_mut().value_mut(id).data_mut() {
+                        *v = rng.uniform(-1.0, 1.0);
+                    }
+                }
+                model
+            })
+            .collect()
+    })
+}
+
+/// Every entry into the inference forward agrees with the tape, bit for bit.
+fn assert_forward_matches_tape(text: &str) {
+    for model in random_models() {
+        let tape = tape_probabilities(model, text);
+        assert_eq!(
+            model.predict_proba_text(text),
+            tape,
+            "{} on {text:?}",
+            model.name()
+        );
+        assert_eq!(model.predict_proba_texts(&[text]), vec![tape]);
+    }
+}
+
+#[test]
+fn forward_matches_tape_at_the_length_edges() {
+    let model = &random_models()[0];
+    let max_len = model.config().max_len;
+    let pad = model.tokenizer().pad_id();
+    assert_eq!(model.tokenizer().encode_word(ONE_PIECE).len(), 1);
+    let repeat = |n: usize| vec![ONE_PIECE; n].join(" ");
+    // `[CLS]` + `max_len - 2` pieces + `[SEP]`: nothing to drop.
+    let exact = repeat(max_len - 2);
+    assert!(!model.encode(&exact).contains(&pad));
+    assert!(model.encode(&repeat(max_len - 3)).contains(&pad));
+    for text in ["", ONE_PIECE, exact.as_str(), repeat(3 * max_len).as_str()] {
+        assert_forward_matches_tape(text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The graph-free forward, tail skip included, equals
+    /// `softmax(forward_logits(..))` bit for bit on random texts, from empty
+    /// to truncated, for every architecture variant.
+    #[test]
+    fn forward_matches_tape_on_random_texts(
+        words in proptest::collection::vec("[a-z]{1,7}", 0..14),
+    ) {
+        assert_forward_matches_tape(&words.join(" "));
     }
 }
