@@ -70,7 +70,6 @@ fn start_server(corpus: &HolistixCorpus, idle_timeout: Duration) -> ServerHandle
         42,
     );
     let config = ServeConfig {
-        handlers: CLIENTS + 2,
         keep_alive: KeepAliveConfig {
             idle_timeout,
             ..KeepAliveConfig::default()
@@ -200,7 +199,6 @@ fn real_backend_sweep() -> JsonValue {
             Arc::clone(&i8_arc),
         ]);
         let config = ServeConfig {
-            handlers: CLIENTS + 2,
             admission: AdmissionConfig {
                 max_queue_depth: 512,
                 global_intake_limit: 4096,

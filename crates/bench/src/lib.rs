@@ -1,4 +1,3 @@
 //! Benchmark harness support library — see `benches/` for the per-table Criterion benches.
 
-pub mod loadgen;
 pub mod report;

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// An object-safe, thread-shareable scorer: the only interface the serving
-/// stack (registry, batch queues, explain handlers) knows about.
+/// stack (registry, batch queues, explain jobs) knows about.
 pub trait Scorer: Send + Sync {
     /// Class-probability vectors, one row of 6 per text. Rows must depend only
     /// on their own text, so batching never changes answers.

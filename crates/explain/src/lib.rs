@@ -24,7 +24,8 @@ pub mod span_eval;
 
 pub use bleu::{bleu, bleu_n};
 pub use lime::{
-    interpretable_features, LimeConfig, LimeExplainer, LimeExplanation, ProbabilityModel,
+    interpretable_features, LimeConfig, LimeExplainer, LimeExplanation, Perturbations,
+    ProbabilityModel,
 };
 pub use rouge::{rouge_1, rouge_l, RougeScore};
 pub use span_eval::{evaluate_explanations, ExplanationMetrics, ExplanationReport};

@@ -154,47 +154,51 @@ impl LimeExplainer {
         &self.config
     }
 
-    /// Explain the model's prediction on `text`. If `target_class` is `None`, the
-    /// model's argmax class on the original text is explained. `?Sized` so a
-    /// trait object (e.g. the serving layer's `&dyn Scorer`) can be explained
-    /// without a concrete wrapper.
+    /// How many texts [`explain`](Self::explain) scores for a text with
+    /// `n_features` interpretable features: the text, plus `n_samples`
+    /// perturbations when it has a word to perturb.
+    pub fn texts_scored(&self, n_features: usize) -> usize {
+        1 + self.config.n_samples * usize::from(n_features > 0)
+    }
+
+    /// Explain the model's prediction on `text`: [`perturb`](Self::perturb),
+    /// score in [`LimeConfig::batch_size`] chunks, [`fit`](Self::fit). If
+    /// `target_class` is `None`, the model's argmax class on the original
+    /// text is explained. `?Sized` so a trait object (e.g. `&dyn Scorer`)
+    /// can be explained without a concrete wrapper.
     pub fn explain<M: ProbabilityModel + ?Sized>(
         &self,
         model: &M,
         text: &str,
         target_class: Option<usize>,
     ) -> LimeExplanation {
+        let perturbations = self.perturb(text);
+        // In chunks: the full perturbation set never hits the model as one
+        // giant transform.
+        let mut rows = Vec::with_capacity(perturbations.texts.len());
+        for chunk in perturbations.texts.chunks(self.config.batch_size.max(1)) {
+            let chunk: Vec<&str> = chunk.iter().map(String::as_str).collect();
+            rows.extend(model.predict_proba(&chunk));
+        }
+        self.fit(perturbations, &rows, target_class)
+    }
+
+    /// Step 1: sample the perturbation set of `text`. Its first text is
+    /// `text` itself; each other one keeps a random subset of the text's
+    /// interpretable features (every occurrence of a dropped word is removed).
+    pub fn perturb(&self, text: &str) -> Perturbations {
         // Interpretable features: distinct lower-cased word types, in first-occurrence order.
         let words = text_words(text);
         let features = distinct_features(&words);
-
-        let original = model
-            .predict_proba(&[text])
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| vec![0.0; model.n_classes()]);
-        let target =
-            target_class.unwrap_or_else(|| holistix_linalg::argmax(&original).unwrap_or(0));
-        let target_probability = original.get(target).copied().unwrap_or(0.0);
-
-        if features.is_empty() {
-            return LimeExplanation {
-                target_class: target,
-                target_probability,
-                token_weights: Vec::new(),
-                intercept: target_probability,
-            };
-        }
-
-        // 1. Sample perturbations.
-        let mut rng = Rng64::new(self.config.seed);
         let n_features = features.len();
-        let mut design: Vec<Vec<f64>> = Vec::with_capacity(self.config.n_samples + 1);
-        let mut texts: Vec<String> = Vec::with_capacity(self.config.n_samples + 1);
+        let n_texts = self.texts_scored(n_features);
+        let mut design: Vec<Vec<f64>> = Vec::with_capacity(n_texts);
+        let mut texts: Vec<String> = Vec::with_capacity(n_texts);
         // The unperturbed instance is always included with full weight.
         design.push(vec![1.0; n_features]);
         texts.push(text.to_string());
-        for _ in 0..self.config.n_samples {
+        let mut rng = Rng64::new(self.config.seed);
+        while texts.len() < n_texts {
             let mut mask = vec![false; n_features];
             let mut any = false;
             for m in mask.iter_mut() {
@@ -212,22 +216,43 @@ impl LimeExplainer {
             design.push(mask.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect());
             texts.push(kept.join(" "));
         }
+        Perturbations {
+            texts,
+            features,
+            design,
+        }
+    }
 
-        // 2. Model responses, in batches: the full perturbation set (n_samples + 1
-        // texts) never hits the model as one giant transform.
-        let text_refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-        let batch = self.config.batch_size.max(1);
-        let mut responses: Vec<f64> = Vec::with_capacity(text_refs.len());
-        for chunk in text_refs.chunks(batch) {
-            responses.extend(
-                model
-                    .predict_proba(chunk)
-                    .iter()
-                    .map(|p| p.get(target).copied().unwrap_or(0.0)),
-            );
+    /// Steps 2–4: turn the model's `rows` for the perturbation set (one per
+    /// text, in order) into the explanation. The target class and its
+    /// probability come from the first row, the unperturbed text's.
+    pub fn fit(
+        &self,
+        perturbations: Perturbations,
+        rows: &[Vec<f64>],
+        target_class: Option<usize>,
+    ) -> LimeExplanation {
+        let original = rows.first().map_or(&[][..], Vec::as_slice);
+        let target = target_class.unwrap_or_else(|| holistix_linalg::argmax(original).unwrap_or(0));
+        let target_probability = original.get(target).copied().unwrap_or(0.0);
+        let (features, design) = (perturbations.features, perturbations.design);
+        if features.is_empty() {
+            return LimeExplanation {
+                target_class: target,
+                target_probability,
+                token_weights: Vec::new(),
+                intercept: target_probability,
+            };
         }
 
+        // 2. Model responses for the explained class.
+        let responses: Vec<f64> = rows
+            .iter()
+            .map(|p| p.get(target).copied().unwrap_or(0.0))
+            .collect();
+
         // 3. Locality weights.
+        let n_features = features.len();
         let weights: Vec<f64> = design
             .iter()
             .map(|row| {
@@ -254,6 +279,18 @@ impl LimeExplainer {
             intercept,
         }
     }
+}
+
+/// One explanation's perturbation set ([`LimeExplainer::perturb`]): the texts
+/// to score, plus what [`LimeExplainer::fit`] needs to explain their rows.
+#[derive(Debug, Clone)]
+pub struct Perturbations {
+    /// The texts to score, the unperturbed text first.
+    pub texts: Vec<String>,
+    /// The interpretable features the design columns stand for.
+    features: Vec<String>,
+    /// One binary word-presence row per text.
+    design: Vec<Vec<f64>>,
 }
 
 /// Solve weighted ridge regression `min Σ w_i (y_i - x_i·β - b)² + λ‖β‖²`.
@@ -412,6 +449,40 @@ mod tests {
                 ..LimeConfig::default()
             });
             assert_eq!(explainer.explain(&KeywordModel, text, None), reference);
+        }
+    }
+
+    /// [`KeywordModel`] behind a count of every text it scores.
+    struct CountingModel(std::cell::Cell<usize>);
+
+    impl ProbabilityModel for CountingModel {
+        fn predict_proba(&self, texts: &[&str]) -> Vec<Vec<f64>> {
+            self.0.set(self.0.get() + texts.len());
+            KeywordModel.predict_proba(texts)
+        }
+
+        fn n_classes(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn the_unperturbed_text_is_scored_once() {
+        let explainer = LimeExplainer::default_config();
+        let n_samples = explainer.config().n_samples;
+        for (text, scored) in [
+            ("my job and the work stress leave me alone", n_samples + 1),
+            ("", 1),
+            ("?! ...", 1),
+        ] {
+            let model = CountingModel(std::cell::Cell::new(0));
+            let explanation = explainer.explain(&model, text, None);
+            assert_eq!(model.0.get(), scored, "{text:?}");
+            assert_eq!(explanation, explainer.explain(&KeywordModel, text, None));
+            assert_eq!(
+                explainer.texts_scored(interpretable_features(text).len()),
+                scored
+            );
         }
     }
 

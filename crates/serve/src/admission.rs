@@ -1,10 +1,8 @@
 //! Admission control: the layer that says "no" before overload says it for us.
 //!
-//! PR 6's multiplexer accepts thousands of keep-alive clients on a handful of
-//! threads, which made unbounded intake the next wall: nothing bounded the
-//! per-kind batch queues, so a traffic spike grew them without limit and every
-//! client collapsed at once. This module adds the four bounds, outermost to
-//! innermost:
+//! Without bounds, a traffic spike grows the per-kind batch queues without
+//! limit and every client collapses at once. The four bounds, all enforced
+//! on the pollers, outermost to innermost:
 //!
 //! 1. **Global intake valve** — when the aggregate depth across every batch
 //!    queue reaches [`AdmissionConfig::global_intake_limit`], pollers withdraw
@@ -16,15 +14,16 @@
 //!    (when [`AdmissionConfig::rate_limit`] is set): `burst` tokens capacity,
 //!    refilled at `rate_per_s` tokens per second, one token per request. A
 //!    request that finds the bucket empty is answered `429` with
-//!    `Retry-After` directly by the poller — it never reaches a handler.
-//! 3. **Graceful degradation** — `/explain` costs hundreds of LIME scoring
-//!    calls per request, so it sheds first: once aggregate queue depth
-//!    reaches [`AdmissionConfig::explain_shed_depth`] (below the intake
-//!    limit), `/explain` answers `429` while `/predict` still serves.
+//!    `Retry-After` directly by the poller, before the request is routed.
+//! 3. **Graceful degradation** — `/explain` scores hundreds of texts per
+//!    request, so it sheds first: once aggregate queue depth reaches
+//!    [`AdmissionConfig::explain_shed_depth`] (below the intake limit),
+//!    `/explain` answers `429` while `/predict` still serves.
 //! 4. **Per-kind queue caps** — each batch queue rejects at enqueue once its
 //!    depth would exceed [`AdmissionConfig::max_queue_depth`]; the request
 //!    draws `429` + `Retry-After`. One saturated kind sheds alone — the
-//!    other kinds' queues admit normally (cross-kind isolation).
+//!    other kinds' queues admit normally (cross-kind isolation). An explain
+//!    reserves its whole LIME perturbation set, so these bounds count it.
 //!
 //! `429 Too Many Requests` always means *the server is healthy but full —
 //! back off and retry*; `503 Service Unavailable` is reserved for the reload
@@ -154,9 +153,9 @@ impl TokenBucket {
     }
 }
 
-/// The shared admission policy: one per server, consulted by pollers (intake
-/// valve, per-connection buckets) and handlers (explain shedding, retry
-/// hints). All live state it reads — aggregate queue depth — and all state it
+/// The shared admission policy: one per server, consulted by the pollers
+/// (intake valve, per-connection buckets, explain shedding, retry hints).
+/// All live state it reads — aggregate queue depth — and all state it
 /// writes — the valve gauge, shed counters — lives in [`ServeMetrics`], so
 /// `/metrics` and the policy can never disagree.
 pub struct Admission {

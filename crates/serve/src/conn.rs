@@ -13,9 +13,9 @@
 //!
 //! Requests are assigned monotonically increasing sequence numbers as they
 //! parse; up to [`MAX_PIPELINED`] may be in flight at once, so request `N+1`
-//! parses (and dispatches to a handler) while `N`'s batch is still being
-//! scored. Responses complete in *any* order — handlers finish whenever their
-//! batch queue does — but serialize strictly in sequence order through the
+//! parses (and is routed) while `N`'s batch is still being scored. Responses
+//! complete in *any* order — each whenever its batch queue (or the admin
+//! thread) finishes it — but serialize strictly in sequence order through the
 //! [`pending`](Connection) reorder map, so the client always sees answers in
 //! the order it asked. At the cap the connection simply stops reading
 //! (POLLIN interest is withdrawn), pushing backpressure into the kernel's
@@ -213,12 +213,12 @@ impl Connection {
     /// cap, assigning sequence numbers and applying keep-alive policy. Each
     /// parsed request is born with a [`RequestTrace`] — the trace id is
     /// minted here, at parse completion, and every later stage stamps the
-    /// same record. Returns the requests to hand to handler threads; a
+    /// same record. Returns the requests for the poller to route; a
     /// malformed request is answered locally (400, close) and ends parsing —
     /// framing is lost.
     ///
     /// A request that finds this client's token bucket empty is also answered
-    /// locally — `429` + `Retry-After` without a handler round-trip — but the
+    /// locally — `429` + `Retry-After` before routing — but the
     /// connection stays open: framing is intact, and the whole point of
     /// `Retry-After` is that the same client retries on the same connection
     /// once its bucket refills.
@@ -269,7 +269,7 @@ impl Connection {
                 Err(e) => {
                     // A malformed request desynchronises the framing; answer
                     // 400 and close rather than guess where the next request
-                    // starts. No handler round-trip — the poller owns this.
+                    // starts. Nothing to route — the connection owns this.
                     let seq = self.assign_seq(metrics);
                     self.last_seq = Some(seq);
                     metrics.record_request(Endpoint::Other);

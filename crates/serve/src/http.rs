@@ -10,19 +10,18 @@
 //! timeout fires, or either side hangs up — HTTP/1.1 semantics, where
 //! persistence is the default.
 //!
-//! [`read_request`] and [`write_response`] are generic over `BufRead`/`Write`
-//! so they unit-test against in-memory buffers. [`RequestParser`] is the
-//! incremental twin of `read_request` for the nonblocking connection
-//! multiplexer: it accumulates whatever fragments the socket delivers and
-//! yields complete requests with the same semantics and limits as the
-//! blocking parser (a unit test feeds both the same streams byte-for-byte).
-//! Two clients match the server:
+//! [`RequestParser`] is the server's request parser, built for the
+//! nonblocking connection multiplexer: it accumulates whatever fragments the
+//! socket delivers and yields complete requests (a property test pins that
+//! any split of a byte stream parses to the same requests and the same
+//! error). [`write_response`] is generic over `Write`, so it unit-tests
+//! against in-memory buffers. Two clients match the server:
 //! [`http_request`], the one-shot `Connection: close` helper, and
 //! [`HttpClient`], a blocking keep-alive client that pipelines any number of
 //! request/response round-trips over one TCP connection (what the
 //! `serve_throughput` bench and the CI smoke drive).
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Reject request bodies larger than this (1 MiB): the API carries forum-post
@@ -140,91 +139,6 @@ fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-/// Read one `\n`-terminated line, drawing at most `budget` bytes. A line that
-/// exhausts the budget without a newline is an error ([`MAX_HEAD_BYTES`]
-/// enforcement), not an allocation.
-fn read_line_limited<R: BufRead>(reader: &mut R, budget: &mut u64) -> io::Result<String> {
-    let mut line = String::new();
-    let read = reader.by_ref().take(*budget).read_line(&mut line)? as u64;
-    if read == *budget && !line.ends_with('\n') {
-        return Err(invalid(format!(
-            "request head exceeds the {MAX_HEAD_BYTES} byte limit"
-        )));
-    }
-    *budget -= read;
-    Ok(line)
-}
-
-/// Read one request: request line, headers (`Content-Length` and `Connection`
-/// are interpreted), then exactly `Content-Length` body bytes.
-///
-/// Returns `Ok(None)` when the connection is cleanly closed (EOF) before a
-/// request line arrives — the normal end of a keep-alive session, not an
-/// error. EOF *inside* a request (mid-headers, short body) is an error.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut head_budget = MAX_HEAD_BYTES;
-    let line = read_line_limited(reader, &mut head_budget)?;
-    if line.is_empty() {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| invalid("empty request line"))?
-        .to_string();
-    let (path, query) = split_target(
-        parts
-            .next()
-            .ok_or_else(|| invalid("request line missing path"))?,
-    );
-
-    let mut content_length = 0usize;
-    let mut close = false;
-    let mut accept = String::new();
-    loop {
-        let header = read_line_limited(reader, &mut head_budget)?;
-        if header.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed inside headers",
-            ));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| invalid(format!("bad Content-Length {value:?}")))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                close = value.trim().eq_ignore_ascii_case("close");
-            } else if name.eq_ignore_ascii_case("accept") {
-                accept = value.trim().to_string();
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(invalid(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte limit"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| invalid("body is not valid UTF-8"))?;
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        accept,
-        body,
-        close,
-    }))
-}
-
 /// A request head parsed out of the buffer, waiting for its body bytes.
 #[derive(Debug)]
 struct PendingHead {
@@ -238,13 +152,15 @@ struct PendingHead {
     content_length: usize,
 }
 
-/// An incremental, resumable request parser — the nonblocking twin of
-/// [`read_request`], built for the poller's edge-driven reads: bytes arrive in
-/// arbitrary fragments via [`feed`](Self::feed), and
-/// [`poll_request`](Self::poll_request) yields a [`Request`] exactly when one
-/// is complete, `None` when more bytes are needed, or an error on the same
-/// protocol violations the blocking parser rejects (head over
-/// [`MAX_HEAD_BYTES`], bad or oversized `Content-Length`, non-UTF-8 body).
+/// An incremental, resumable request parser, built for the poller's
+/// edge-driven reads: bytes arrive in arbitrary fragments via
+/// [`feed`](Self::feed), and [`poll_request`](Self::poll_request) yields a
+/// [`Request`] exactly when one is complete, `None` when more bytes are
+/// needed, or an error on a protocol violation (head over
+/// [`MAX_HEAD_BYTES`], a request line without a path, bad or oversized
+/// `Content-Length`, non-UTF-8 head or body). A request is its request line,
+/// its headers (`Content-Length`, `Connection` and `Accept` are
+/// interpreted), then exactly `Content-Length` body bytes.
 ///
 /// The parser owns a growable buffer, so a request split across any number of
 /// reads — down to one byte at a time — parses identically to a single-shot
@@ -277,27 +193,22 @@ impl RequestParser {
         self.buffer.is_empty() && self.head.is_none()
     }
 
-    /// Bytes currently buffered (unparsed input plus any pending head).
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Try to complete one request from the buffered bytes. `Ok(None)` means
     /// the buffer holds only a request prefix — feed more and poll again.
     /// Call in a loop to drain pipelined requests.
     pub fn poll_request(&mut self) -> io::Result<Option<Request>> {
-        if self.head.is_none() {
-            match self.find_head_end()? {
-                Some(head_len) => self.head = Some(self.parse_head(head_len)?),
+        let pending = match self.head.take() {
+            Some(pending) => pending,
+            None => match self.find_head_end()? {
+                Some(head_len) => self.parse_head(head_len)?,
                 None => return Ok(None),
-            }
-        }
-        let pending = self.head.as_ref().expect("pending head");
+            },
+        };
         let total = pending.head_len + pending.content_length;
         if self.buffer.len() < total {
+            self.head = Some(pending);
             return Ok(None);
         }
-        let pending = self.head.take().expect("pending head");
         let body = String::from_utf8(self.buffer[pending.head_len..total].to_vec())
             .map_err(|_| invalid("body is not valid UTF-8"))?;
         self.buffer.drain(..total);
@@ -338,8 +249,7 @@ impl RequestParser {
         Ok(None)
     }
 
-    /// Parse the head's request line and headers — the same rules (and error
-    /// messages) as [`read_request`].
+    /// Parse the head's request line and headers.
     fn parse_head(&self, head_len: usize) -> io::Result<PendingHead> {
         if head_len as u64 > MAX_HEAD_BYTES {
             return Err(invalid(format!(
@@ -649,8 +559,11 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Parse `raw` as one complete request.
     fn parse_one(raw: &str) -> io::Result<Request> {
-        read_request(&mut Cursor::new(raw)).map(|r| r.expect("expected a request, got EOF"))
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        Ok(parser.poll_request()?.expect("expected a complete request"))
     }
 
     #[test]
@@ -689,7 +602,14 @@ mod tests {
 
     #[test]
     fn eof_before_request_line_is_a_clean_close() {
-        assert!(read_request(&mut Cursor::new("")).unwrap().is_none());
+        // Nothing buffered: EOF here ends the session cleanly...
+        let mut parser = RequestParser::new();
+        assert!(parser.poll_request().unwrap().is_none());
+        assert!(parser.is_idle());
+        // ...while EOF after part of a request line is a peer abort.
+        parser.feed(b"GET /hea");
+        assert!(parser.poll_request().unwrap().is_none());
+        assert!(!parser.is_idle());
     }
 
     #[test]
@@ -697,25 +617,34 @@ mod tests {
         // Keep-alive framing: Content-Length delimits the first body exactly,
         // so the second request parses from the same reader.
         let raw = "POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\n";
-        let mut cursor = Cursor::new(raw);
-        let first = read_request(&mut cursor).unwrap().unwrap();
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        let first = parser.poll_request().unwrap().unwrap();
         assert_eq!(first.body, "hi");
-        let second = read_request(&mut cursor).unwrap().unwrap();
+        let second = parser.poll_request().unwrap().unwrap();
         assert_eq!(second.path, "/healthz");
-        assert!(read_request(&mut cursor).unwrap().is_none());
+        assert!(parser.poll_request().unwrap().is_none());
+        assert!(parser.is_idle());
     }
 
     #[test]
     fn rejects_oversized_and_truncated_bodies() {
         let huge = format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20);
-        assert!(read_request(&mut Cursor::new(huge)).is_err());
-        let short = "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(read_request(&mut Cursor::new(short)).is_err());
+        assert!(parse_one(&huge).is_err());
         let bad_length = "POST /p HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
-        assert!(read_request(&mut Cursor::new(bad_length)).is_err());
-        // EOF mid-headers is an error, unlike EOF before the request line.
-        let mid_headers = "POST /p HTTP/1.1\r\nContent-Length: 2\r\n";
-        assert!(read_request(&mut Cursor::new(mid_headers)).is_err());
+        assert!(parse_one(bad_length).is_err());
+        // A truncated body, or EOF mid-headers, leaves a partial request
+        // buffered: EOF there is a peer abort, unlike EOF before the request
+        // line.
+        for truncated in [
+            "POST /p HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+            "POST /p HTTP/1.1\r\nContent-Length: 2\r\n",
+        ] {
+            let mut parser = RequestParser::new();
+            parser.feed(truncated.as_bytes());
+            assert!(parser.poll_request().unwrap().is_none());
+            assert!(!parser.is_idle(), "{truncated:?}");
+        }
     }
 
     #[test]
@@ -723,17 +652,17 @@ mod tests {
         // A header stream that never ends (no newline) must error once the
         // head budget is spent, not grow a String until OOM.
         let endless = format!("GET /healthz HTTP/1.1\r\nX-Junk: {}", "A".repeat(64 << 10));
-        let err = read_request(&mut Cursor::new(endless)).unwrap_err();
+        let err = parse_one(&endless).unwrap_err();
         assert!(err.to_string().contains("byte limit"), "{err}");
         // Same budget applied to an endless request line.
         let endless_line = "G".repeat(64 << 10);
-        assert!(read_request(&mut Cursor::new(endless_line)).is_err());
+        assert!(parse_one(&endless_line).is_err());
         // Many small headers also spend the budget.
         let many = format!(
             "GET / HTTP/1.1\r\n{}\r\n",
             "X-H: v\r\n".repeat((MAX_HEAD_BYTES as usize / 8) + 10)
         );
-        assert!(read_request(&mut Cursor::new(many)).is_err());
+        assert!(parse_one(&many).is_err());
     }
 
     /// Drain every complete request currently parseable.
@@ -743,27 +672,6 @@ mod tests {
             out.push(request);
         }
         out
-    }
-
-    #[test]
-    fn incremental_parser_matches_blocking_parser() {
-        let raws = [
-            "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\n\r\n{\"texts\":[]}",
-            "GET /healthz HTTP/1.1\r\n\r\n",
-            "GET /metrics HTTP/1.1\r\nConnection: Close\r\n\r\n",
-            "POST /p HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi",
-        ];
-        for raw in raws {
-            let blocking = parse_one(raw).unwrap();
-            let mut parser = RequestParser::new();
-            parser.feed(raw.as_bytes());
-            let incremental = parser.poll_request().unwrap().expect("complete request");
-            assert_eq!(incremental.method, blocking.method);
-            assert_eq!(incremental.path, blocking.path);
-            assert_eq!(incremental.body, blocking.body);
-            assert_eq!(incremental.close, blocking.close);
-            assert!(parser.is_idle(), "leftover bytes after {raw:?}");
-        }
     }
 
     #[test]
@@ -915,14 +823,15 @@ mod tests {
         write_request(&mut writer, addr, "GET", "/metrics", "", true, &[]).unwrap();
         assert_eq!(writer.writes, 2);
         // The bytes are the two requests, back to back.
-        let mut stream = Cursor::new(writer.bytes);
-        let first = read_request(&mut stream).unwrap().unwrap();
+        let mut parser = RequestParser::new();
+        parser.feed(&writer.bytes);
+        let first = parser.poll_request().unwrap().unwrap();
         assert_eq!(
             (first.path.as_str(), first.body.as_str()),
             ("/predict", body)
         );
         assert_eq!(first.accept, "text/plain");
-        let second = read_request(&mut stream).unwrap().unwrap();
+        let second = parser.poll_request().unwrap().unwrap();
         assert_eq!((second.path.as_str(), second.close), ("/metrics", true));
     }
 
@@ -971,12 +880,6 @@ mod tests {
         assert_eq!(request.query_param("format"), Some("prometheus"));
         assert_eq!(request.query_param("trace"), Some("1"));
         assert_eq!(request.query_param("absent"), None);
-        // The incremental parser agrees.
-        let mut parser = RequestParser::new();
-        parser.feed(raw.as_bytes());
-        let incremental = parser.poll_request().unwrap().unwrap();
-        assert_eq!(incremental.path, request.path);
-        assert_eq!(incremental.query, request.query);
         // No query string: path is untouched and lookups miss.
         let bare = parse_one("GET /healthz HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(bare.query, "");
@@ -987,9 +890,6 @@ mod tests {
     fn accept_header_is_captured() {
         let raw = "GET /metrics HTTP/1.1\r\nAccept: text/plain\r\n\r\n";
         assert_eq!(parse_one(raw).unwrap().accept, "text/plain");
-        let mut parser = RequestParser::new();
-        parser.feed(raw.as_bytes());
-        assert_eq!(parser.poll_request().unwrap().unwrap().accept, "text/plain");
     }
 
     #[test]

@@ -3,19 +3,17 @@
 //! Warm-model HTTP serving for the Holistix reproduction: the layer that turns
 //! the fitted Table IV baselines into an online prediction service.
 //!
-//! The ROADMAP's north star is a system that serves heavy traffic, and PR 1
-//! built the substrate for that: sparse TF-IDF end to end plus batched
-//! parallel scoring. This crate adds the request front end on top —
-//! hand-rolled HTTP/1.1 over `std::net::TcpListener` (the build is offline,
-//! so no tokio/hyper) with **persistent connections** and the property that
-//! made the batched path worth building: **concurrent requests share scoring
-//! batches**, per model, without head-of-line blocking across models.
+//! Hand-rolled HTTP/1.1 over `std::net::TcpListener` (the build is offline,
+//! so no tokio/hyper) with **persistent connections**, where **concurrent
+//! requests share scoring batches**, per model, without head-of-line
+//! blocking across models.
 //!
 //! ## Architecture
 //!
 //! Since the connection-multiplexer redesign, no thread count scales with the
-//! number of connected clients: P pollers + H handlers + one batch queue per
-//! scorer serve any number of keep-alive connections.
+//! number of connected clients: P pollers + 1 admin thread + one batch queue
+//! per scorer serve any number of keep-alive connections. A `/predict`
+//! crosses two threads: its poller and its kind's queue.
 //!
 //! ```text
 //!                  ┌────────────────────────────────── server thread ──────┐
@@ -24,30 +22,32 @@
 //!   pipelined)     │  poller threads (P, fixed) — poll(2) readiness loop   │
 //!                  │  │ per connection (owned by one poller):              │
 //!                  │  │   incremental RequestParser ── reorder buffer ──►  │
-//!                  │  │   seq-numbered dispatch        in-order responses, │
+//!                  │  │   seq-numbered routing         in-order responses, │
 //!                  │  │   (≤32 pipelined)              partial-write       │
 //!                  │  │   idle-timeout wheel           resumption          │
-//!                  │  ▼ job mpsc              ▲ completions + waker        │
-//!                  │  handler threads (H, fixed): route ─ respond          │
-//!                  │  │ /predict blocks here, never on a poller            │
+//!                  │  │ answers /healthz, /debug/slow, 404/405 and every   │
+//!                  │  │ refusal; admits /predict and /explain              │
+//!                  │  │                                                    │
+//!                  │  ├─ /metrics, /reload ─► admin thread ─────────┐      │
 //!                  │  ▼ per-kind job mpsc (one job per request)            │
-//!                  │   ┌─ BatchQueue "LR"   ── when idle, drain ──┐        │
-//!                  │   │                       what is queued,    │        │
-//!                  │   ├─ BatchQueue "BERT" ── up to max_batch ───┤        │
-//!                  │   │      …                texts, no timer    │        │
-//!                  │   └──────────────┬───────────────────────────┘        │
-//!                  │                  ▼                                    │
-//!                  │     Arc<dyn Scorer>::probabilities                    │
-//!                  │     (one batched call per queue batch)                │
-//!                  │                  ▼                                    │
-//!                  │   per-request reply channels ─► handlers ─► pollers   │
+//!                  │   ┌─ BatchQueue "LR"   ── when idle, drain ──┐ │      │
+//!                  │   │                       what is queued,    │ │      │
+//!                  │   ├─ BatchQueue "BERT" ── up to max_batch ───┤ │      │
+//!                  │   │      …                texts, no timer    │ │      │
+//!                  │   └──────────────┬───────────────────────────┘ │      │
+//!                  │                  ▼                             │      │
+//!                  │     Arc<dyn Scorer>::probabilities             │      │
+//!                  │     (one batched call per queue batch)         │      │
+//!                  │                  ▼                             ▼      │
+//!                  │   response built ─► owning poller's completions       │
+//!                  │                     + waker                           │
 //!                  └───────────────────────────────────────────────────────┘
 //! ```
 //!
 //! * **[`poller`]** — the `std`-only readiness layer: a safe wrapper over the
 //!   `poll(2)` symbol libc already provides (the build is offline, so no
-//!   mio/tokio), plus the `UnixStream`-pair waker handlers use to hand
-//!   completed responses back to the owning poller.
+//!   mio/tokio), plus the `UnixStream`-pair waker the batch queues and the
+//!   admin thread use to hand completed responses back to the owning poller.
 //! * **[`conn`]** — per-connection state machines: incremental request
 //!   framing that resumes from any byte boundary, response write-out with
 //!   partial-write resumption, request pipelining with an in-order reorder
@@ -70,22 +70,20 @@
 //!   registry itself is immutable;
 //!   [`SharedRegistry`](registry::SharedRegistry) makes it *replaceable* —
 //!   `POST /reload` fits a fresh registry from an uploaded JSONL corpus **on
-//!   a dedicated thread** (never an HTTP worker or a batch queue) and
+//!   a dedicated thread** (never a poller or a batch queue) and
 //!   atomically swaps the `Arc`, so in-flight requests finish on the old
 //!   models and `/predict` keeps answering throughout (an integration test
 //!   pins this liveness).
 //! * **[`batcher`]** — one `BatchQueue` per registered scorer: its own
-//!   channel and its own drain thread. Request workers enqueue each
-//!   request's texts on their model's queue as one job and block on its
-//!   reply channel. The drain is work-conserving: when its scorer is idle it
-//!   takes whatever is queued, up to [`BatchConfig::max_batch`] texts, and
-//!   scores it with one `probabilities` call, so batches grow with load and
-//!   nothing waits on a timer. A saturated transformer queue cannot delay a
-//!   classical batch — the isolation an integration test pins with a
-//!   deliberately slow scorer stub. Batching is invisible in the answers:
-//!   batched scoring is bit-for-bit identical to text-at-a-time scoring, a
-//!   property the core pipeline tests pin and the loopback integration test
-//!   re-asserts over HTTP.
+//!   channel and drain thread. A poller enqueues each request as one job
+//!   that owns its reply; the drain thread scores it, builds the response
+//!   and pushes it to the owning poller. The drain is work-conserving: it
+//!   takes whatever is queued, up to [`BatchConfig::max_batch`] texts, into
+//!   one `probabilities` call, so batches grow with load and nothing waits
+//!   on a timer. An explain's LIME perturbation set is scored in
+//!   `max_batch`-text chunks between predicts. A saturated transformer
+//!   queue cannot delay a classical batch, and batched scoring is bit-for-bit
+//!   identical to text-at-a-time scoring (integration tests pin both).
 //! * **[`http`]** — the minimal HTTP/1.1 subset with keep-alive:
 //!   `Content-Length` framing on both sides, `Connection: close` honored,
 //!   per-connection request cap and idle timeout
@@ -94,15 +92,11 @@
 //!   [`http_request`] is the one-shot blocking client; [`HttpClient`] holds
 //!   one connection open across any number of requests (what the
 //!   `serve_throughput` bench and the CI smoke drive).
-//! * **[`metrics`]** — request counters, per-kind queue sections (depth,
-//!   batch-size histogram, queue-wait and scoring-time percentiles),
-//!   `keepalive_reuses_total`, the connection section (open gauge,
-//!   accept/close totals, readiness wakeups, pipelined requests, idle
-//!   evictions), the configured thread plan next to the live OS thread
-//!   count, the cross-queue batch histogram and end-to-end request latency
-//!   percentiles. The crate-private `family` module renders them for
-//!   `GET /metrics` as JSON *and* Prometheus text from one list of metric
-//!   families.
+//! * **[`metrics`]** — request, connection and admission counters, per-kind
+//!   queue sections (depth, batch sizes, queue-wait and scoring times), the
+//!   thread plan next to the live OS thread count, and end-to-end latency.
+//!   The crate-private `family` module renders them for `GET /metrics` as
+//!   JSON *and* Prometheus text from one list of metric families.
 //! * **[`obs`]** — the observability layer: lock-free log2-bucketed
 //!   histograms, per-request traces, the slow-trace ring, and the Prometheus
 //!   exposition helpers. See **Observability** below.
@@ -127,50 +121,26 @@
 //! ## Admission & overload
 //!
 //! A server with bounded threads and bounded queues must decide what happens
-//! when offered load exceeds capacity; doing nothing means unbounded queue
-//! growth and latency collapse for everyone. [`AdmissionConfig`] (on
-//! [`ServeConfig`]) configures four nested bounds, outermost first:
-//!
-//! 1. **Global intake valve** (`global_intake_limit`) — when the *aggregate*
-//!    queued-job count across every batch queue reaches this limit, the
-//!    pollers withdraw read interest from the listener and from every
-//!    connection (the same mechanism per-connection pipelining already uses),
-//!    so overload backpressure propagates into kernel socket buffers and TCP
-//!    receive windows instead of server memory. Nothing is rejected — reads
-//!    resume as soon as the backlog drains (bounded by the poll fallback
-//!    timeout).
-//! 2. **Per-connection token bucket** (`rate_limit`:
-//!    [`RateLimitConfig`]) — each accepted connection gets its own
-//!    [`TokenBucket`] holding at most `burst` tokens, refilled continuously
-//!    at `rate_per_s` tokens per second; every parsed request takes one
-//!    token or is answered `429` without ever reaching a handler. Keyed on
-//!    connection identity: a client that reconnects starts a fresh bucket,
-//!    but also pays the connection setup. Off by default (`None`).
-//! 3. **Graceful degradation** (`explain_shed_depth`) — `/explain` costs
-//!    hundreds of batched scoring calls per request, so it is shed *first*:
-//!    once aggregate depth reaches this (lower) threshold, `/explain`
-//!    answers `429` while `/predict` keeps serving until its own per-kind
-//!    cap. An integration test pins the ordering.
-//! 4. **Per-kind queue cap** (`max_queue_depth`) — each `BatchQueue` admits
-//!    a request's texts all-or-nothing via a compare-and-swap reservation on
-//!    its depth gauge; a request that would push the queue past the cap is
-//!    rejected `429` with nothing enqueued, and a full transformer queue
-//!    cannot make the classical queue reject (per-kind isolation).
+//! when offered load exceeds capacity. [`AdmissionConfig`] (on
+//! [`ServeConfig`]) configures four nested bounds, all enforced on the
+//! pollers before anything is queued — see [`admission`]: the global intake
+//! valve (pollers stop reading), a per-connection token bucket, graceful
+//! degradation (`/explain` sheds first) and the per-kind queue cap (an
+//! all-or-nothing depth reservation). An explain reserves its whole
+//! perturbation set (`n_samples + 1` texts, with `n_samples` clamped below
+//! the cap), so every bound counts LIME work, and an explain flood sheds
+//! instead of starving the other routes.
 //!
 //! **429 vs 503**: `429 Too Many Requests` always means *healthy but full —
-//! retry this same server after `Retry-After` seconds* (every shed response
-//! carries the header, seconds granularity, from
-//! `AdmissionConfig::retry_after`). `503 Service Unavailable` is reserved
-//! for the reload path (model not loaded / shutting down) where retrying
-//! soon won't help. Shed responses count in `requests.errors` and in the
-//! per-endpoint, per-reason `admission.shed` counters (reasons:
-//! `queue_full`, `rate_limited`, `degraded`); the valve exports its state
-//! (`intake_closed`, `intake_closures_total`) and the configured limits.
-//!
-//! Defaults are permissive (caps in the thousands, no rate limit) — the
-//! open-loop `serve_load` bench in `holistix-bench` ramps fixed-TPS clients
-//! against a real server until a p99-latency or shed-rate SLO trips, and
-//! records the last sustainable step in `BENCH_serve.json`.
+//! retry this same server after `Retry-After` seconds*; `503 Service
+//! Unavailable` is reserved for the reload path (model not loaded / shutting
+//! down). Shed responses count in `requests.errors` and in the per-endpoint,
+//! per-reason `admission.shed` counters (`queue_full`, `rate_limited`,
+//! `degraded`); the valve exports its state and the configured limits.
+//! Defaults are permissive (caps in the thousands, no rate limit);
+//! `tests/integration_admission.rs` pins the overload behaviour
+//! deterministically, and the repository benchmark (`holibench`) measures
+//! the server under open-loop load from the client side.
 //!
 //! JSON parsing and serialisation are shared with the corpus crate's
 //! [`holistix_corpus::json`] module (hoisted out of its JSONL reader), whose
@@ -186,36 +156,34 @@
 //! ```text
 //!  trace lifecycle (one request; ── is a stage, │ a stamped boundary):
 //!
-//!  poller             handler              batch queue          poller
-//!  ──────             ───────              ───────────          ──────
-//!  parse done ───────► picked off queue ─► texts enqueued ─►    response
-//!  │ id minted        │ HandlerStart      │ QueueEnqueue        serialized,
-//!  │ (conn.rs)        │                   │ batch drained ─►    written out
-//!  │                  │                   │ BatchDrain          │ WriteDone
-//!  │                  │                   │ rows returned       │ finalize:
-//!  │                  │                   │ Scored              │ histograms
-//!  │                  │ response built    │                     │ + slow ring
-//!  │                  │ ResponseQueued ───┴──────────────────►  │
-//!  └── dispatch ──────┴── prepare ── queue_wait ── score ── respond ── write
+//!  poller                                batch queue            poller
+//!  ──────                                ───────────            ──────
+//!  parse done ─► routed ─► enqueued ───► batch drained ─►       response
+//!  │ id minted   │ Routed  │ QueueEnqueue │ BatchDrain          serialized,
+//!  │ (conn.rs)   │         │              │ rows returned       written out
+//!  │             │         │              │ Scored              │ WriteDone
+//!  │             │         │              │ response built      │ finalize:
+//!  │             │         │              │ ResponseQueued ──►  │ histograms
+//!  │             │         │              │                     │ + slow ring
+//!  └─ dispatch ──┴ prepare ┴─ queue_wait ─┴─ score ── respond ──┴── write
 //! ```
 //!
 //! **Stage glossary** (each stage ends at its stamp; together they partition
-//! the end-to-end latency): `dispatch` = parse completion → a handler picks
-//! the job up (queueing in the handler pool); `prepare` = request parsing /
-//! validation / model resolution in the handler; `queue_wait` = batch-queue
-//! residency until the drain loop takes the batch; `score` = the batched
-//! `probabilities` call (or the LIME run for `/explain`); `respond` =
-//! fan-out and response building until the completion is queued back to the
-//! poller; `write` = reorder-buffer wait plus socket write-out until the
-//! last byte is on the wire.
+//! the end-to-end latency): `dispatch` = parse completion → routed (about
+//! zero on the poller; for `/metrics` and `/reload`, until the admin thread
+//! takes the request); `prepare` = body parsing, validation, admission and
+//! model resolution on the poller until the job is enqueued; `queue_wait` =
+//! batch-queue residency until the drain loop first takes the job; `score`
+//! = first drain → the job's last texts scored (for `/explain`, LIME
+//! sampling and every chunk, with the waits between them); `respond` =
+//! response building on the drain or admin thread (for `/explain`, the
+//! surrogate fit too) until the completion is queued back to the poller;
+//! `write` = reorder-buffer wait plus socket write-out until the last byte
+//! is on the wire. Requests the poller answers itself go from `dispatch`
+//! straight to `respond`.
 //!
-//! **Histogram error bounds**: [`obs::LogHistogram`] buckets values at 16
-//! sub-buckets per power of two, so any reported percentile is within one
-//! bucket of the exact nearest-rank value — a relative error of at most
-//! 1/16 (6.25%); values below 32 are exact. Recording is two relaxed
-//! `fetch_add`s and a `fetch_max`; scrapes read the buckets without stopping
-//! writers (a test records under sustained concurrent scraping and loses
-//! nothing).
+//! **Histogram error bounds**: any reported percentile is within one bucket
+//! (6.25%) of the exact nearest-rank value; see [`obs::LogHistogram`].
 //!
 //! **Metric families**: both `/metrics` formats render one list,
 //! `ServeMetrics::families` in `metrics.rs`, where each family names its
@@ -258,14 +226,11 @@
 //!   `// SAFETY:` comment; any new `unsafe` must too.
 //! * **No lock guard held across a blocking call** (`guard-across-send`).
 //!   Holding a `Mutex`/`RwLock` guard at a `send`/`recv`/`join`/`sleep` is
-//!   the classic contention-only deadlock. The one intentional case — the
-//!   handler pool taking turns on the shared job receiver — is waived inline
-//!   with its rationale.
+//!   the classic contention-only deadlock. Every channel here has one
+//!   consumer that owns its receiver, so the crate carries no waiver.
 //!
-//! Waivers are always of the form
-//! `// lint:allow(guard-across-send): receivers take turns by design` — the
-//! rule name plus a mandatory reason — so `grep -rn 'lint:allow'` is the
-//! complete exception ledger.
+//! A waiver names the rule plus a mandatory reason, inline at the site, so
+//! `grep -rn 'lint:allow'` is the complete exception ledger.
 //! Best-effort Miri and ThreadSanitizer CI lanes run the serve unit tests
 //! when the nightly components are available, backstopping the lexical rules
 //! with dynamic checking.
@@ -293,7 +258,7 @@ pub mod registry;
 pub mod server;
 
 pub use admission::{Admission, AdmissionConfig, RateLimitConfig, TokenBucket};
-pub use batcher::{BatchConfig, BatchTiming, BatcherHandle, PredictError};
+pub use batcher::{BatchConfig, PredictError};
 pub use http::{http_request, HttpClient, Request, Response};
 pub use metrics::{
     build_info, os_thread_count, AdmissionMetrics, ConnectionMetrics, Endpoint, QueueMetrics,

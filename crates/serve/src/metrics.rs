@@ -23,7 +23,7 @@
 //!
 //! End-to-end request latency is recorded when a response's **last byte
 //! reaches the socket** (trace finalization in the poller), not when the
-//! handler finishes — so a client that drains slowly shows up in the tail.
+//! response is built — so a client that drains slowly shows up in the tail.
 
 use crate::family::{self, Family, Value};
 use crate::obs::{HistogramSnapshot, LogHistogram, Obs, RequestTrace, ENDPOINT_NAMES, STAGE_NAMES};
@@ -97,9 +97,9 @@ impl Endpoint {
     }
 
     /// Route a parsed request line to its endpoint. The single source of
-    /// routing truth: the server's dispatch and the poller's rate-limit
-    /// labeling both use this, so a shed `/predict` is counted as `predict`
-    /// even when the handler never sees it.
+    /// routing truth: the server's routing and the rate-limit labeling both
+    /// use this, so a rate-limited `/predict` is counted as `predict` even
+    /// though it is never parsed further.
     pub fn resolve(method: &str, path: &str) -> Endpoint {
         match (method, path) {
             ("POST", "/predict") => Endpoint::Predict,
@@ -323,10 +323,9 @@ pub fn os_thread_count() -> Option<u64> {
 }
 
 /// Per-queue statistics: one instance per registered scorer kind, shared
-/// between that kind's [`BatcherHandle`](crate::batcher::BatcherHandle) side
-/// (depth increments) and its drain loop (depth decrements, batch sizes,
-/// per-text queue wait and per-batch scoring time). Depth counts texts, not
-/// requests.
+/// between the pollers that submit to that kind's queue (depth reservations)
+/// and its drain loop (depth decrements, batch sizes, per-text queue wait
+/// and per-batch scoring time). Depth counts texts, not requests.
 ///
 /// Every depth change is mirrored into the server-wide `aggregate` counter
 /// (shared across all queues via [`ServeMetrics::queue`]), which the global
@@ -365,7 +364,7 @@ impl QueueMetrics {
     /// Reserve room for `texts` more texts, all or nothing: succeeds (and
     /// counts them as enqueued) only if the resulting depth stays within
     /// `cap`. The compare-exchange makes the check-and-increment atomic, so
-    /// two handlers racing for the last slots cannot both win it —
+    /// two pollers racing for the last slots cannot both win it —
     /// admission never overshoots the cap.
     pub fn try_admit(&self, texts: u64, cap: u64) -> bool {
         let mut current = self.depth.load(Ordering::Relaxed);
@@ -428,9 +427,10 @@ impl QueueMetrics {
     }
 }
 
-/// Shared metrics sink. One instance per server, shared by pollers, handlers
-/// and the per-kind batch queues. Also owns the [`Obs`] observability state
-/// (trace-id mint, per-endpoint stage histograms, slow-trace ring).
+/// Shared metrics sink. One instance per server, shared by pollers, the
+/// admin thread and the per-kind batch queues. Also owns the [`Obs`]
+/// observability state (trace-id mint, per-endpoint stage histograms,
+/// slow-trace ring).
 #[derive(Debug)]
 pub struct ServeMetrics {
     started: Instant,
@@ -458,7 +458,7 @@ pub struct ServeMetrics {
     admission: AdmissionMetrics,
     /// Connection-layer counters for the nonblocking multiplexer.
     connections: ConnectionMetrics,
-    /// Configured thread plan `[pollers, handlers, queues]`, set once at
+    /// Configured thread plan `[pollers, admin, queues]`, set once at
     /// server start; the point of the multiplexer is that this plan — not the
     /// connection count — determines the process's thread count.
     thread_plan: Mutex<Option<[usize; 3]>>,
@@ -558,11 +558,11 @@ impl ServeMetrics {
         self.request_latency.snapshot()
     }
 
-    /// Record the configured thread plan: how many poller, handler and
+    /// Record the configured thread plan: how many poller, admin and
     /// batch-queue threads the server runs. Reported under `threads` in the
     /// snapshot next to the live OS thread count.
-    pub fn set_thread_plan(&self, pollers: usize, handlers: usize, queues: usize) {
-        *self.thread_plan.lock().unwrap() = Some([pollers, handlers, queues]);
+    pub fn set_thread_plan(&self, pollers: usize, admin: usize, queues: usize) {
+        *self.thread_plan.lock().unwrap() = Some([pollers, admin, queues]);
     }
 
     /// Record the stats of the fit behind the serving registry (called once
@@ -683,7 +683,7 @@ impl ServeMetrics {
                 })
         });
         let limit = |read: fn(&AdmissionLimits) -> Value| limits.map(|l| ([""; 0], read(&l)));
-        let roles = ["pollers", "handlers", "queues"];
+        let roles = ["pollers", "admin", "queues"];
         let planned = thread_plan
             .into_iter()
             .flat_map(|plan| roles.into_iter().zip(plan));
@@ -1092,7 +1092,7 @@ mod tests {
         conns.record_idle_eviction();
         conns.record_closed();
         assert_eq!(conns.open(), 1);
-        metrics.set_thread_plan(2, 8, 3);
+        metrics.set_thread_plan(2, 1, 3);
 
         let snapshot = metrics.snapshot();
         let section = snapshot.get("connections").unwrap();
@@ -1113,7 +1113,7 @@ mod tests {
         );
         let threads = snapshot.get("threads").unwrap();
         assert_eq!(threads.get("pollers").unwrap().as_f64(), Some(2.0));
-        assert_eq!(threads.get("handlers").unwrap().as_f64(), Some(8.0));
+        assert_eq!(threads.get("admin").unwrap().as_f64(), Some(1.0));
         assert_eq!(threads.get("queues").unwrap().as_f64(), Some(3.0));
         // On Linux the live OS thread count is a positive number.
         let os_threads = os_thread_count().expect("Linux /proc/self/status");
@@ -1174,7 +1174,7 @@ mod tests {
         assert!(bert.try_admit(40, 40));
         bert.record_batch(40, &[5; 40], 9_000); // a log2-bucketed size
         finalize_total(&metrics, Endpoint::Predict, Duration::from_micros(480));
-        metrics.set_thread_plan(2, 4, 1);
+        metrics.set_thread_plan(2, 1, 1);
         metrics.record_fit(FitStats {
             duration: Duration::from_micros(7_000),
             shards: 2,

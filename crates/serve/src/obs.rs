@@ -20,15 +20,16 @@
 //! ## Traces
 //!
 //! A [`RequestTrace`] is minted by the connection layer the moment a request
-//! finishes parsing and rides along with it through the handler pool, the
-//! batch queues and back out the socket. Each boundary crossing stamps one
-//! slot (a plain write — the trace is owned by exactly one thread at a time):
+//! finishes parsing and rides along with it through the poller's routing,
+//! its kind's batch queue (or the admin thread) and back out the socket.
+//! Each boundary crossing stamps one slot (a plain write — the trace is
+//! owned by exactly one thread at a time):
 //!
 //! ```text
-//! parse done ─► handler start ─► queue enqueue ─► batch drain ─► scored
-//!   (birth)       [dispatch]       [prepare]      [queue_wait]   [score]
-//!                                     ─► response queued ─► last byte written
-//!                                          [respond]            [write]
+//! parse done ─► routed ─► queue enqueue ─► batch drain ─► scored
+//!   (birth)   [dispatch]    [prepare]      [queue_wait]   [score]
+//!                              ─► response queued ─► last byte written
+//!                                   [respond]            [write]
 //! ```
 //!
 //! The bracketed names are the **stage durations** between consecutive
@@ -280,8 +281,9 @@ impl HistogramSnapshot {
 /// Indexes into [`RequestTrace`]'s stamp array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStamp {
-    /// A handler thread picked the parsed request off the dispatch queue.
-    HandlerStart = 0,
+    /// The request was routed: on its poller, or, for `/metrics` and
+    /// `/reload`, when the admin thread took it.
+    Routed = 0,
     /// The request's texts entered a scorer's batch queue.
     QueueEnqueue = 1,
     /// The batch containing the request's texts was drained for scoring.
@@ -311,9 +313,9 @@ pub const STAGE_NAMES: [&str; N_STAMPS] = [
 
 /// One request's trace: an id, the parse-completion instant, and the
 /// boundary stamps accumulated as the request moves through the stack.
-/// Owned by exactly one thread at any moment (poller → handler → poller), so
-/// stamping is a plain array write — the atomics live in the histograms the
-/// finalized trace is folded into.
+/// Owned by exactly one thread at any moment (poller → batch queue or admin
+/// thread → poller), so stamping is a plain array write — the atomics live
+/// in the histograms the finalized trace is folded into.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
     /// Unique per server run; serialized as 16 hex digits in `X-Trace-Id`.
@@ -410,16 +412,12 @@ impl RequestTrace {
     }
 }
 
-/// A finalized trace retained by the slow ring: everything `/debug/slow`
-/// serves, detached from the live `Instant`s.
+/// A finalized trace retained by the slow ring: its total, and everything
+/// `/debug/slow` serves for it, rendered when it was kept.
 #[derive(Debug, Clone)]
 struct SlowEntry {
-    id: u64,
-    endpoint: &'static str,
-    kind: Option<String>,
     total_us: u64,
-    /// `(stage_index, at_us, dur_us)` in stamp order.
-    stages: Vec<(usize, u64, u64)>,
+    trace: JsonValue,
 }
 
 /// A bounded buffer of the slowest completed traces. The fast-path rejection
@@ -449,19 +447,19 @@ impl SlowTraceBuffer {
         if total_us <= self.floor_us.load(Ordering::Relaxed) {
             return;
         }
+        let model = trace
+            .kind
+            .clone()
+            .map_or(JsonValue::Null, JsonValue::string);
         let entry = SlowEntry {
-            id: trace.id,
-            endpoint: trace.endpoint,
-            kind: trace.kind.clone(),
             total_us,
-            stages: trace
-                .stage_durations()
-                .into_iter()
-                .map(|(index, duration)| {
-                    let at = trace.stamps[index].unwrap_or(Duration::ZERO);
-                    (index, at.as_micros() as u64, duration.as_micros() as u64)
-                })
-                .collect(),
+            trace: JsonValue::object(vec![
+                ("trace_id", JsonValue::string(trace.id_hex())),
+                ("endpoint", JsonValue::string(trace.endpoint)),
+                ("model", model),
+                ("total_us", JsonValue::Number(total_us as f64)),
+                ("stages", trace.stages_json()),
+            ]),
         };
         let mut entries = self.entries.lock().unwrap();
         entries.push(entry);
@@ -488,35 +486,7 @@ impl SlowTraceBuffer {
     pub fn to_json(&self) -> JsonValue {
         let mut entries = self.entries.lock().unwrap().clone();
         entries.sort_by_key(|entry| std::cmp::Reverse(entry.total_us));
-        let traces: Vec<JsonValue> = entries
-            .into_iter()
-            .map(|entry| {
-                let stages: Vec<JsonValue> = entry
-                    .stages
-                    .iter()
-                    .map(|&(index, at_us, dur_us)| {
-                        JsonValue::object(vec![
-                            ("stage", JsonValue::string(STAGE_NAMES[index])),
-                            ("at_us", JsonValue::Number(at_us as f64)),
-                            ("dur_us", JsonValue::Number(dur_us as f64)),
-                        ])
-                    })
-                    .collect();
-                JsonValue::object(vec![
-                    ("trace_id", JsonValue::string(format!("{:016x}", entry.id))),
-                    ("endpoint", JsonValue::string(entry.endpoint)),
-                    (
-                        "model",
-                        match entry.kind {
-                            Some(kind) => JsonValue::string(kind),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                    ("total_us", JsonValue::Number(entry.total_us as f64)),
-                    ("stages", JsonValue::Array(stages)),
-                ])
-            })
-            .collect();
+        let traces = entries.into_iter().map(|entry| entry.trace).collect();
         JsonValue::object(vec![
             ("capacity", JsonValue::Number(self.capacity as f64)),
             ("traces", JsonValue::Array(traces)),
@@ -895,10 +865,7 @@ mod tests {
     fn trace_stages_partition_the_total() {
         let started = Instant::now();
         let mut trace = RequestTrace::new(7, started);
-        trace.stamp_at(
-            TraceStamp::HandlerStart,
-            started + Duration::from_micros(10),
-        );
+        trace.stamp_at(TraceStamp::Routed, started + Duration::from_micros(10));
         trace.stamp_at(
             TraceStamp::QueueEnqueue,
             started + Duration::from_micros(25),
@@ -930,7 +897,7 @@ mod tests {
         // A /healthz request never touches a batch queue.
         let started = Instant::now();
         let mut trace = RequestTrace::new(9, started);
-        trace.stamp_at(TraceStamp::HandlerStart, started + Duration::from_micros(5));
+        trace.stamp_at(TraceStamp::Routed, started + Duration::from_micros(5));
         trace.stamp_at(
             TraceStamp::ResponseQueued,
             started + Duration::from_micros(40),
@@ -997,13 +964,10 @@ mod tests {
         let started = Instant::now();
         let mut trace = obs.begin_trace(started);
         trace.endpoint = "predict";
-        trace.stamp_at(
-            TraceStamp::HandlerStart,
-            started + Duration::from_micros(10),
-        );
+        trace.stamp_at(TraceStamp::Routed, started + Duration::from_micros(10));
         trace.stamp_at(TraceStamp::WriteDone, started + Duration::from_micros(50));
         obs.finalize(&trace);
-        let dispatch = obs.stage_snapshot("predict", TraceStamp::HandlerStart as usize);
+        let dispatch = obs.stage_snapshot("predict", TraceStamp::Routed as usize);
         assert_eq!(dispatch.count(), 1);
         assert_eq!(dispatch.percentile(0.5), Some(10));
         let write = obs.stage_snapshot("predict", TraceStamp::WriteDone as usize);

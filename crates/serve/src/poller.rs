@@ -11,11 +11,11 @@
 //! connection churn (a closed fd is simply never submitted again).
 //!
 //! [`Waker`] is the cross-thread wakeup: a nonblocking `UnixStream` pair
-//! whose read end sits in the poll set. Handler threads finish a request,
-//! push the completion, and [`wake`](Waker::wake) the owning poller; writes
-//! to an already-signalled waker hit `WouldBlock` and are dropped — the
-//! poller is waking anyway, which makes `wake` O(1), lock-free and
-//! infallible.
+//! whose read end sits in the poll set. A batch queue or the admin thread
+//! finishes a request, pushes the completion, and [`wake`](Waker::wake)s the
+//! owning poller; writes to an already-signalled waker hit `WouldBlock` and
+//! are dropped — the poller is waking anyway, which makes `wake` O(1),
+//! lock-free and infallible.
 //!
 //! lint: no_panic — this file is event-loop core: a panic here kills a
 //! poller thread and silently orphans every connection it owns, so panicking
@@ -198,8 +198,9 @@ impl WakeReader {
     }
 }
 
-/// A connected waker pair: the [`Waker`] goes to handler threads (and the
-/// server handle, for shutdown), the [`WakeReader`] into the poller's set.
+/// A connected waker pair: the [`Waker`] goes to the threads that answer off
+/// the poller (and the server handle, for shutdown), the [`WakeReader`] into
+/// the poller's set.
 pub fn waker_pair() -> io::Result<(Waker, WakeReader)> {
     let (writer, reader) = UnixStream::pair()?;
     writer.set_nonblocking(true)?;

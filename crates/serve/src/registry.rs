@@ -7,7 +7,7 @@
 //! one crossbeam scoped thread per requested [`BaselineKind`], each classical
 //! fit itself sharded across its slice of the machine's
 //! [`ThreadBudget`](holistix::ml::ThreadBudget) — and hands out
-//! `Arc<dyn Scorer>` clones to the batch queues and the `/explain` handlers.
+//! `Arc<dyn Scorer>` clones to the batch queues and the `/explain` jobs.
 //!
 //! Since the `Scorer` API redesign the registry is backend-agnostic: it stores
 //! [`Arc<dyn Scorer>`](Scorer), so a classical sparse pipeline, a
@@ -64,9 +64,9 @@ pub struct FitStats {
 }
 
 /// Warm fitted scorers, keyed by [`BaselineKind`]. Immutable once built;
-/// every scorer is behind an `Arc<dyn Scorer>` so request handlers and the
-/// batch queues share them without copies — and without knowing the backend.
-/// Replacement happens one level up, in [`SharedRegistry`].
+/// every scorer is behind an `Arc<dyn Scorer>` so the pollers, the explain
+/// jobs and the batch queues share them without copies — and without knowing
+/// the backend. Replacement happens one level up, in [`SharedRegistry`].
 pub struct ModelRegistry {
     entries: Vec<(BaselineKind, Arc<dyn Scorer>)>,
     profile: SpeedProfile,

@@ -1,5 +1,5 @@
-//! The HTTP server: a nonblocking connection multiplexer in front of a small
-//! fixed pool of request handlers.
+//! The HTTP server: a nonblocking connection multiplexer in front of the
+//! per-kind batch queues.
 //!
 //! Thread model — every count here is configuration, none scale with the
 //! number of connected clients:
@@ -8,34 +8,37 @@
 //!   runs a readiness loop over `poll(2)` ([`crate::poller`]): it accepts new
 //!   sockets (the nonblocking listener is polled by every poller; the kernel
 //!   breaks the tie), reads whatever bytes are available into each
-//!   connection's incremental parser, dispatches parsed requests to the
-//!   handler pool, and writes completed responses back out with partial-write
-//!   resumption ([`crate::conn`]). Pollers never block on a socket or a
-//!   model, so ten thousand idle keep-alive clients cost two sleeping
+//!   connection's incremental parser, routes parsed requests, and writes
+//!   completed responses back out with partial-write resumption
+//!   ([`crate::conn`]). A poller answers `/healthz`, `/debug/slow`, 404/405
+//!   and every refused request itself, and admits each `/predict` and
+//!   `/explain` onto its kind's batch queue. Pollers never block on a socket
+//!   or a model, so ten thousand idle keep-alive clients cost two sleeping
 //!   threads, not ten thousand.
-//! * [`ServeConfig::handlers`] **handler threads** run the routes. They pull
-//!   parsed requests off one shared queue, block as needed (`/predict` waits
-//!   on the model's batch queue, `/explain` runs LIME), and hand the finished
-//!   response back to the owning poller through its completion list + waker.
 //! * **one batch-queue thread per registered scorer** ([`crate::batcher`])
 //!   coalesces texts across concurrent requests — a slow transformer batch
-//!   never delays a classical one.
+//!   never delays a classical one — builds each answer and hands it back to
+//!   the owning poller through its completion list + waker.
+//! * **one admin thread** answers the two routes too slow for a poller:
+//!   `/metrics` (a render costs about half a millisecond) and `/reload` body
+//!   validation (up to 1 MiB of JSONL). It hands its answers back the same
+//!   way; the reload fit runs on a thread of its own.
 //!
-//! Connections are pipelined: a poller keeps parsing (and dispatching)
-//! request `N+1` while `N` is still being scored, and the per-connection
-//! reorder buffer guarantees responses go out in request order. Idle
-//! connections are evicted by a timer wheel, never by a blocking read
-//! timeout; a client that stops draining its responses is evicted by the same
-//! wheel once no bytes have moved for the idle timeout.
+//! Connections are pipelined: a poller keeps parsing (and routing) request
+//! `N+1` while `N` is still being scored, and the per-connection reorder
+//! buffer guarantees responses go out in request order. Idle connections are
+//! evicted by a timer wheel, never by a blocking read timeout; a client that
+//! stops draining its responses is evicted by the same wheel once no bytes
+//! have moved for the idle timeout.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] flips the running flag and wakes
-//! every poller. Pollers drop their connections and exit; the job channel
-//! closes, handlers finish their in-flight requests and exit; their batcher
-//! handles drop, and every batch queue drains and exits — the scope then
-//! joins everything.
+//! every poller. Pollers drop their connections and exit, dropping their
+//! queue senders and the admin sender; every batch queue finishes its
+//! in-flight jobs, explains included, and exits, and so does the admin
+//! thread — the scope then joins everything.
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::batcher::{build_queues, BatchConfig, BatcherHandle, PredictError};
+use crate::batcher::{build_queues, BatchConfig, BatcherHandle, PredictError, Reply, Work};
 use crate::conn::{Connection, TimerWheel};
 use crate::http::{Request, Response};
 use crate::metrics::{build_info, Endpoint, ServeMetrics, ShedReason};
@@ -45,13 +48,13 @@ use crate::registry::{ModelRegistry, SharedRegistry};
 use holistix::corpus::WellnessDimension;
 use holistix::linalg::argmax;
 use holistix::ml::ThreadBudget;
-use holistix::Scorer;
+use holistix::{BaselineKind, Scorer};
 use holistix_corpus::json::JsonValue;
-use holistix_explain::{LimeConfig, LimeExplainer};
+use holistix_explain::{LimeConfig, LimeExplainer, LimeExplanation};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -86,8 +89,8 @@ const TOKEN_WAKER: usize = usize::MAX;
 const TOKEN_LISTENER: usize = usize::MAX - 1;
 
 /// Thread budget for a `/reload` refit: half the machine (at least one), so
-/// the background fit leaves cores for the handler pool and the batch queues
-/// that are serving live traffic off the old registry.
+/// the background fit leaves cores for the pollers and the batch queues that
+/// are serving live traffic off the old registry.
 fn reload_fit_threads() -> usize {
     (ThreadBudget::machine().threads / 2).max(1)
 }
@@ -121,18 +124,14 @@ pub struct ServeConfig {
     /// them with readiness polling; two is plenty below tens of thousands of
     /// clients, since pollers do no model work.
     pub pollers: usize,
-    /// Handler threads: the request-level concurrency ceiling. Handlers run
-    /// the routes and may block (batch queues, LIME, reload validation);
-    /// connections are *not* pinned to handlers, so a handful serve
-    /// thousands of keep-alive clients.
-    pub handlers: usize,
     /// Micro-batching knobs, shared by every registered scorer's queue.
     pub batch: BatchConfig,
     /// Connection keep-alive policy.
     pub keep_alive: KeepAliveConfig,
     /// LIME defaults for `/explain` (per-request `top_k` / `n_samples`
-    /// overrides apply on top; `batch_size` controls how perturbation sets
-    /// chunk through the batched scoring path).
+    /// overrides apply on top). The server scores each perturbation set on
+    /// its kind's batch queue in [`BatchConfig::max_batch`] chunks, so
+    /// [`LimeConfig::batch_size`] does not apply here.
     pub lime: LimeConfig,
     /// Admission control: per-kind queue caps, the global intake valve,
     /// `/explain` shedding and per-client rate limiting. The defaults are
@@ -144,7 +143,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             pollers: 2,
-            handlers: 8,
             batch: BatchConfig::default(),
             keep_alive: KeepAliveConfig::default(),
             lime: LimeConfig::default(),
@@ -213,7 +211,6 @@ pub fn serve(
     let running = Arc::new(AtomicBool::new(true));
     let metrics = Arc::new(ServeMetrics::new());
     metrics.record_fit(registry.fit_stats());
-    let registry = SharedRegistry::new(registry);
     let mut wakers = Vec::new();
     let mut readers = Vec::new();
     for _ in 0..config.pollers.max(1) {
@@ -221,15 +218,18 @@ pub fn serve(
         wakers.push(waker);
         readers.push(reader);
     }
+    let state = ServerState {
+        listener,
+        registry: SharedRegistry::new(registry),
+        admission: Admission::new(config.admission.clone(), Arc::clone(&metrics)),
+        config,
+        running: Arc::clone(&running),
+        metrics: Arc::clone(&metrics),
+        reloading: Arc::new(AtomicBool::new(false)),
+    };
     let thread = {
-        let running = Arc::clone(&running);
-        let metrics = Arc::clone(&metrics);
         let wakers = wakers.clone();
-        std::thread::spawn(move || {
-            serve_loop(
-                listener, registry, config, running, metrics, readers, wakers,
-            )
-        })
+        std::thread::spawn(move || serve_loop(state, readers, wakers))
     };
     Ok(ServerHandle {
         addr: local_addr,
@@ -240,20 +240,22 @@ pub fn serve(
     })
 }
 
-/// A parsed request on its way from a poller to the handler pool, carrying
-/// the trace minted at parse completion.
-struct HandlerJob {
-    poller: usize,
-    slot: usize,
-    generation: u64,
-    seq: u64,
-    request: Request,
-    trace: RequestTrace,
+/// Everything the pollers and the admin thread read, owned by the server
+/// thread for the server's lifetime.
+struct ServerState {
+    listener: TcpListener,
+    registry: SharedRegistry,
+    config: ServeConfig,
+    running: Arc<AtomicBool>,
+    metrics: Arc<ServeMetrics>,
+    admission: Admission,
+    /// Set while a `/reload` fit runs.
+    reloading: Arc<AtomicBool>,
 }
 
 /// A finished response on its way back to the owning poller, with the trace
-/// the handler stamped along the way (the poller stamps the final
-/// last-byte-written boundary and finalizes it).
+/// stamped along the way (the poller stamps the final last-byte-written
+/// boundary and finalizes it).
 struct Completion {
     slot: usize,
     generation: u64,
@@ -262,155 +264,459 @@ struct Completion {
     trace: RequestTrace,
 }
 
-/// The handler-facing side of one poller: where completions are pushed, and
-/// the waker that tells the poller to collect them.
+/// The answering side of one poller: where completions are pushed, and the
+/// waker that tells the poller to collect them.
 struct PollerShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
 
-/// Everything a handler needs to answer requests.
-struct RequestContext<'a> {
-    registry: &'a SharedRegistry,
-    batcher: BatcherHandle,
-    lime: &'a LimeConfig,
-    metrics: &'a Arc<ServeMetrics>,
-    reloading: &'a Arc<AtomicBool>,
-    admission: &'a Admission,
+/// Where an answer made off the poller goes: the owning poller and the
+/// request's place on its connection.
+struct ReplyTo {
+    poller: Arc<PollerShared>,
+    slot: usize,
+    generation: u64,
+    seq: u64,
 }
 
-fn serve_loop(
-    listener: TcpListener,
-    registry: SharedRegistry,
-    config: ServeConfig,
-    running: Arc<AtomicBool>,
-    metrics: Arc<ServeMetrics>,
-    readers: Vec<WakeReader>,
-    wakers: Vec<Waker>,
-) {
-    let reloading = Arc::new(AtomicBool::new(false));
-    let admission = Admission::new(config.admission.clone(), Arc::clone(&metrics));
+impl ReplyTo {
+    /// Queue `response` back to the owning poller and wake it.
+    fn send(self, metrics: &ServeMetrics, response: Response, mut trace: RequestTrace) {
+        finish(metrics, &response, &mut trace);
+        let completion = Completion {
+            slot: self.slot,
+            generation: self.generation,
+            seq: self.seq,
+            response,
+            trace,
+        };
+        self.poller
+            .completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(completion);
+        self.poller.waker.wake();
+    }
+}
+
+/// Every answer's last step: count an error status, stamp `ResponseQueued`.
+fn finish(metrics: &ServeMetrics, response: &Response, trace: &mut RequestTrace) {
+    if response.status >= 400 {
+        metrics.record_error();
+    }
+    trace.stamp(TraceStamp::ResponseQueued);
+}
+
+/// A `/metrics` or `/reload` request on its way to the admin thread.
+struct AdminJob {
+    request: Request,
+    trace: RequestTrace,
+    reply_to: ReplyTo,
+}
+
+fn serve_loop(state: ServerState, readers: Vec<WakeReader>, wakers: Vec<Waker>) {
     // One batch queue per scorer registered at startup. `/reload` refits keep
     // the kind set, so the queue set never needs to change at runtime.
     let (batcher, queues) = build_queues(
-        &registry,
-        &config.batch,
-        &metrics,
-        config.admission.max_queue_depth,
+        &state.registry,
+        &state.config.batch,
+        &state.metrics,
+        state.config.admission.max_queue_depth,
     );
-    let n_handlers = config.handlers.max(1);
-    metrics.set_thread_plan(readers.len(), n_handlers, queues.len());
-
-    let (job_sender, job_receiver) = mpsc::channel::<HandlerJob>();
-    let job_receiver = Mutex::new(job_receiver);
-    let poller_shared: Vec<Arc<PollerShared>> = wakers
-        .iter()
-        .map(|waker| {
-            Arc::new(PollerShared {
-                completions: Mutex::new(Vec::new()),
-                waker: waker.clone(),
-            })
-        })
-        .collect();
-
-    let registry = &registry;
-    let keep_alive = &config.keep_alive;
-    let lime_config = &config.lime;
-    let admission = &admission;
-    let metrics = &metrics;
-    let reloading = &reloading;
-    let running = &running;
-    let listener = &listener;
-    let job_receiver = &job_receiver;
-    let poller_shared = &poller_shared;
-
+    let metrics = &state.metrics;
+    metrics.set_thread_plan(readers.len(), 1, queues.len());
+    let (admin, admin_jobs) = mpsc::channel();
+    let state = &state;
     crossbeam::thread::scope(|scope| {
         for queue in queues {
-            scope.spawn(move |_| queue.run(registry));
+            scope.spawn(move |_| queue.run());
         }
-
-        for _ in 0..n_handlers {
-            let batcher = batcher.clone();
-            scope.spawn(move |_| {
-                let context = RequestContext {
-                    registry,
-                    batcher,
-                    lime: lime_config,
-                    metrics,
-                    reloading,
-                    admission,
-                };
-                handler_loop(&context, job_receiver, poller_shared);
-            });
+        scope.spawn(move |_| admin_loop(state, admin_jobs));
+        for (reader, waker) in readers.into_iter().zip(wakers) {
+            let routes = Routes {
+                state,
+                batcher: batcher.clone(),
+                admin: admin.clone(),
+            };
+            scope.spawn(move |_| Poller::new(reader, waker, routes).run());
         }
-        // The handlers hold clones; drop the original so the handlers' exit
-        // is what disconnects the batch queues.
+        // The pollers hold the other senders: when the last poller exits,
+        // every batch queue and the admin thread drain out.
         drop(batcher);
-
-        for (index, reader) in readers.into_iter().enumerate() {
-            let job_sender = job_sender.clone();
-            let shared = Arc::clone(&poller_shared[index]);
-            scope.spawn(move |_| {
-                Poller::new(
-                    index, reader, shared, listener, job_sender, running, keep_alive, metrics,
-                    admission,
-                )
-                .run();
-            });
-        }
-        // The pollers hold clones; when the last poller exits, the job
-        // channel disconnects and the handlers drain out.
-        drop(job_sender);
+        drop(admin);
     })
     .expect("server thread scope failed");
 }
 
-/// Pop parsed requests, run the route, push the response back to the owning
-/// poller. Exits when every poller (job sender) is gone.
-fn handler_loop(
-    context: &RequestContext<'_>,
-    receiver: &Mutex<mpsc::Receiver<HandlerJob>>,
-    pollers: &[Arc<PollerShared>],
-) {
-    loop {
-        // Take the lock only to pop; handling runs unlocked so the rest of
-        // the pool keeps draining jobs.
-        // lint:allow(guard-across-send): intentional — mpsc::Receiver is not
-        // Sync, so handlers take turns blocking in `recv` under this mutex;
-        // the guard is a temporary that dies at the statement's `;`, and no
-        // other lock or work is ever taken while it is held.
-        let job = { receiver.lock().unwrap().recv() };
-        let Ok(mut job) = job else { break };
-        job.trace.stamp(TraceStamp::HandlerStart);
-        let response = route(&job.request, context, &mut job.trace);
-        if response.status >= 400 {
-            context.metrics.record_error();
-        }
-        job.trace.stamp(TraceStamp::ResponseQueued);
-        let shared = &pollers[job.poller];
-        shared.completions.lock().unwrap().push(Completion {
-            slot: job.slot,
-            generation: job.generation,
-            seq: job.seq,
-            response,
-            trace: job.trace,
-        });
-        shared.waker.wake();
+/// The admin thread: answer `/metrics` and `/reload` until every poller is
+/// gone.
+fn admin_loop(state: &ServerState, jobs: mpsc::Receiver<AdminJob>) {
+    for mut job in jobs {
+        job.trace.stamp(TraceStamp::Routed);
+        let response = match Endpoint::resolve(&job.request.method, &job.request.path) {
+            Endpoint::Reload => reload(&job.request.body, state),
+            _ => metrics_page(&job.request, &state.metrics),
+        };
+        job.reply_to.send(&state.metrics, response, job.trace);
     }
+}
+
+/// What a poller routes requests with: the server state and its own
+/// handles on the batch queues and the admin thread.
+struct Routes<'a> {
+    state: &'a ServerState,
+    batcher: BatcherHandle,
+    admin: mpsc::Sender<AdminJob>,
+}
+
+impl Routes<'_> {
+    /// Route one parsed request. Returns the answer when the poller answers
+    /// it itself — `/healthz`, `/debug/slow`, 404/405 and every refused
+    /// request; a queued `/predict` or `/explain` and the admin routes are
+    /// answered later, through `reply_to`.
+    fn route(
+        &self,
+        request: Request,
+        mut trace: RequestTrace,
+        reply_to: ReplyTo,
+    ) -> Option<(Response, RequestTrace)> {
+        let metrics = &self.state.metrics;
+        let endpoint = Endpoint::resolve(&request.method, &request.path);
+        trace.endpoint = endpoint.name();
+        metrics.record_request(endpoint);
+        if let Endpoint::Metrics | Endpoint::Reload = endpoint {
+            let job = AdminJob {
+                request,
+                trace,
+                reply_to,
+            };
+            let mpsc::SendError(job) = self.admin.send(job).err()?;
+            return Some((Response::error(503, "server is shutting down"), job.trace));
+        }
+        trace.stamp(TraceStamp::Routed);
+        // `Ok`: a job for its kind's queue; `Err`: the answer, given now.
+        let job = match endpoint {
+            Endpoint::Predict => self.predict(&request, reply_to),
+            Endpoint::Explain => self.explain(&request, reply_to),
+            Endpoint::Health => Err(self.healthz()),
+            Endpoint::DebugSlow => Err(Response::ok(
+                metrics.obs().slow_traces().to_json().to_string(),
+            )),
+            _ => Err(match request.path.as_str() {
+                "/healthz" | "/metrics" | "/predict" | "/explain" | "/reload" | "/debug/slow" => {
+                    Response::error(405, "method not allowed")
+                }
+                _ => Response::error(404, "no such endpoint"),
+            }),
+        };
+        let (kind, work) = match job {
+            Ok(job) => job,
+            Err(response) => return Some((response, trace)),
+        };
+        trace.kind = Some(kind.name());
+        trace.stamp(TraceStamp::QueueEnqueue);
+        // A refusal is answered here: `429` + `Retry-After` for a full
+        // queue, `503` when the model or the queue is gone.
+        let (error, trace) = *self.batcher.submit(kind, work, trace).err()?;
+        let response = if let PredictError::QueueFull { .. } = error {
+            metrics.record_shed(endpoint, ShedReason::QueueFull);
+            Response::too_many(&error.to_string(), self.state.admission.retry_after_secs())
+        } else {
+            Response::error(error.status(), &error.to_string())
+        };
+        trace.map(|trace| (response, trace))
+    }
+
+    fn healthz(&self) -> Response {
+        let registry = self.state.registry.current();
+        let models = registry
+            .kinds()
+            .into_iter()
+            .map(|k| JsonValue::string(k.name()));
+        let (version, git) = build_info();
+        let build = [("version", version), ("git", git)].map(|(k, v)| (k, JsonValue::string(v)));
+        let metrics = &self.state.metrics;
+        let default = JsonValue::string(registry.default_kind().name());
+        let reloading = JsonValue::Bool(self.state.reloading.load(Ordering::SeqCst));
+        let open = JsonValue::Number(metrics.connections().open() as f64);
+        let uptime = JsonValue::Number(metrics.uptime().as_secs_f64());
+        let health = JsonValue::object(vec![
+            ("status", JsonValue::string("ok")),
+            ("models", JsonValue::Array(models.collect())),
+            ("default_model", default),
+            ("reloading", reloading),
+            ("open_connections", open),
+            ("uptime_s", uptime),
+            ("build", JsonValue::object(build.to_vec())),
+        ]);
+        Response::ok(health.to_string())
+    }
+
+    /// `POST /predict`: `{"texts": ["…", …]}` (or `{"text": "…"}`), optional
+    /// `"model"`. The texts go to their model's batch queue as one job, so
+    /// concurrent requests for the same kind share scoring batches — and
+    /// requests for different kinds never wait on each other. Returns the
+    /// job, or the 4xx the body draws.
+    fn predict(
+        &self,
+        request: &Request,
+        reply_to: ReplyTo,
+    ) -> Result<(BaselineKind, Work), Response> {
+        let document = JsonValue::parse(&request.body)
+            .map_err(|e| Response::error(400, &format!("invalid JSON body: {e}")))?;
+        let array = document.get("texts").and_then(|v| v.as_array());
+        let texts: Vec<String> = match (array, document.get("text").and_then(|v| v.as_str())) {
+            (Some(array), _) => array
+                .iter()
+                .map(|item| item.as_str().map(str::to_string))
+                .collect::<Option<_>>()
+                .ok_or_else(|| Response::error(400, "`texts` must be an array of strings"))?,
+            (None, Some(text)) => vec![text.to_string()],
+            (None, None) => {
+                let message = "body needs a `texts` array or a `text` string";
+                return Err(Response::error(400, message));
+            }
+        };
+        if texts.is_empty() {
+            return Err(Response::error(400, "no texts to score"));
+        }
+        if texts.len() > MAX_TEXTS_PER_REQUEST {
+            let message = format!("at most {MAX_TEXTS_PER_REQUEST} texts per request");
+            return Err(Response::error(413, &message));
+        }
+        let (kind, scorer) = self.resolve(&document)?;
+        let reply = self.reply(request, reply_to, move |rows| predict_fields(kind, rows));
+        Ok((kind, Work::predict(scorer, texts, reply)))
+    }
+
+    /// `POST /explain`: `{"text": "…"}`, optional `"model"`, `"top_k"`,
+    /// `"n_samples"`. A job on its kind's batch queue that reserves the whole
+    /// perturbation set; the drain thread samples it, scores it in
+    /// `max_batch` chunks between predicts and fits the surrogate. Any
+    /// backend explains the same way — LIME sees only `dyn Scorer`.
+    fn explain(
+        &self,
+        request: &Request,
+        reply_to: ReplyTo,
+    ) -> Result<(BaselineKind, Work), Response> {
+        let admission = &self.state.admission;
+        // Graceful degradation: an explanation scores hundreds of texts, so
+        // it is the first thing to go under queue pressure — checked before
+        // even parsing the body, while `/predict` keeps serving until its
+        // own (higher) per-kind cap.
+        if admission.should_shed_explain() {
+            let metrics = &self.state.metrics;
+            metrics.record_shed(Endpoint::Explain, ShedReason::Degraded);
+            let message = "explanations are shed under load; retry later";
+            return Err(Response::too_many(message, admission.retry_after_secs()));
+        }
+        let document = JsonValue::parse(&request.body)
+            .map_err(|e| Response::error(400, &format!("invalid JSON body: {e}")))?;
+        let text = document.get("text").and_then(|v| v.as_str());
+        let text = text.ok_or_else(|| Response::error(400, "body needs a `text` string"))?;
+        // LIME's cost is driven by the number of interpretable features
+        // (distinct word types), not bytes: cap it before the surrogate
+        // solve, counting exactly what the explainer will solve over.
+        let n_features = holistix_explain::interpretable_features(text).len();
+        if n_features > MAX_EXPLAIN_FEATURES {
+            let message = format!(
+                "text has {n_features} distinct words; /explain accepts at most {MAX_EXPLAIN_FEATURES}"
+            );
+            return Err(Response::error(413, &message));
+        }
+        let (kind, scorer) = self.resolve(&document)?;
+        let mut lime = self.state.config.lime.clone();
+        if let Some(n_samples) = document.get("n_samples").and_then(|v| v.as_usize()) {
+            lime.n_samples = n_samples.clamp(10, 2000);
+        }
+        // The whole perturbation set must fit the kind's queue, or the
+        // request would draw a 429 it can never get past.
+        let max_depth = admission.config().max_queue_depth;
+        lime.n_samples = lime.n_samples.min(max_depth.saturating_sub(1));
+        if let Some(top_k) = document.get("top_k").and_then(|v| v.as_usize()) {
+            lime.top_k = top_k.clamp(1, 50);
+        }
+        let top_k = lime.top_k;
+        let reply = self.reply(request, reply_to, move |e| explain_fields(kind, top_k, &e));
+        let explainer = LimeExplainer::new(lime);
+        let work = Work::explain(scorer, text.to_string(), n_features, explainer, reply);
+        Ok((kind, work))
+    }
+
+    /// The body's `"model"` (the default when absent) and its scorer, pinned
+    /// now: the request gets every row from this model even if a `/reload`
+    /// swaps the registry while it waits.
+    fn resolve(&self, document: &JsonValue) -> Result<(BaselineKind, Arc<dyn Scorer>), Response> {
+        let model = document.get("model").and_then(|v| v.as_str());
+        let resolved = self.state.registry.current().resolve(model);
+        resolved.map_err(|e| Response::error(400, &e))
+    }
+
+    /// A reply that answers `request` with the JSON object `render` makes of
+    /// its queue's answer (an error answers with its status), and queues it
+    /// back to the owning poller. With `?trace=1` the object gains a `trace`
+    /// section: the id and the stages stamped so far (the write stage is
+    /// still ahead — it can only appear in `/debug/slow`).
+    fn reply<T>(
+        &self,
+        request: &Request,
+        reply_to: ReplyTo,
+        render: impl FnOnce(T) -> Fields + Send + 'static,
+    ) -> Reply<T> {
+        let metrics = Arc::clone(&self.state.metrics);
+        let inline = request.query_param("trace") == Some("1");
+        Reply::new(move |answer, trace| {
+            let response = match answer.map(render) {
+                Ok(mut fields) => {
+                    if inline {
+                        let id = JsonValue::string(trace.id_hex());
+                        let stages = trace.stages_json();
+                        let section = JsonValue::object(vec![("trace_id", id), ("stages", stages)]);
+                        fields.push(("trace", section));
+                    }
+                    Response::ok(JsonValue::object(fields).to_string())
+                }
+                Err(e) => Response::error(e.status(), &e.to_string()),
+            };
+            reply_to.send(&metrics, response, trace);
+        })
+    }
+}
+
+/// The fields of a JSON object, in order.
+type Fields = Vec<(&'static str, JsonValue)>;
+
+/// The `/predict` answer: per text, its probabilities, label and label index.
+fn predict_fields(kind: BaselineKind, rows: Vec<Vec<f64>>) -> Fields {
+    let results = rows.into_iter().map(|row| {
+        let label_index = argmax(&row).unwrap_or(0);
+        let probabilities = row.into_iter().map(JsonValue::Number).collect();
+        let label = WellnessDimension::from_index(label_index).code();
+        JsonValue::object(vec![
+            ("probabilities", JsonValue::Array(probabilities)),
+            ("label", JsonValue::string(label)),
+            ("label_index", JsonValue::Number(label_index as f64)),
+        ])
+    });
+    vec![
+        ("model", JsonValue::string(kind.name())),
+        ("results", JsonValue::Array(results.collect())),
+    ]
+}
+
+/// The `/explain` answer: the explained class and the `top_k` heaviest
+/// tokens.
+fn explain_fields(kind: BaselineKind, top_k: usize, explanation: &LimeExplanation) -> Fields {
+    let tokens = explanation
+        .token_weights
+        .iter()
+        .take(top_k)
+        .map(|(token, weight)| {
+            let token = JsonValue::string(token.clone());
+            JsonValue::object(vec![
+                ("token", token),
+                ("weight", JsonValue::Number(*weight)),
+            ])
+        });
+    let class = explanation.target_class;
+    let label = JsonValue::string(WellnessDimension::from_index(class).code());
+    let probability = JsonValue::Number(explanation.target_probability);
+    vec![
+        ("model", JsonValue::string(kind.name())),
+        ("label", label),
+        ("target_class", JsonValue::Number(class as f64)),
+        ("target_probability", probability),
+        ("tokens", JsonValue::Array(tokens.collect())),
+    ]
+}
+
+/// `GET /metrics`: Prometheus text when asked for via `?format=prometheus`
+/// or an `Accept` admitting text/plain; the JSON document otherwise.
+fn metrics_page(request: &Request, metrics: &ServeMetrics) -> Response {
+    if request.query_param("format") == Some("prometheus")
+        || request.accept.to_ascii_lowercase().contains("text/plain")
+    {
+        Response::text(200, metrics.render_prometheus())
+    } else {
+        Response::ok(metrics.snapshot().to_string())
+    }
+}
+
+/// `POST /reload`: the body is a JSONL corpus in the `corpus::io` schema. The
+/// admin thread only parses and validates; the fit of the fresh registry
+/// runs on its own dedicated thread — never on a poller or a batch queue —
+/// and the new registry is atomically swapped in when ready, so `/predict`
+/// keeps answering (from the old models) for the whole duration. Responds
+/// `202` with the accepted post count, `400` on a malformed or empty corpus,
+/// `409` if a reload is already in flight. Completion is observable in
+/// `GET /metrics` (`registry.reloads_total`, `registry.corpus_size`) and
+/// `GET /healthz` (`reloading`).
+fn reload(body: &str, state: &ServerState) -> Response {
+    let posts = match holistix_corpus::io::from_jsonl(body) {
+        Ok(posts) => posts,
+        Err(e) => return Response::error(400, &format!("invalid JSONL corpus: {e}")),
+    };
+    if posts.is_empty() {
+        return Response::error(400, "reload corpus has no posts");
+    }
+    if posts.len() > MAX_RELOAD_POSTS {
+        return Response::error(413, &format!("at most {MAX_RELOAD_POSTS} posts per reload"));
+    }
+    // One reload at a time: claim the flag before spawning; losing claimants
+    // are told to retry rather than queueing fits.
+    // ordering: SeqCst — the flag gates a whole model-fit critical section,
+    // and reloads are rare enough that the fence cost is irrelevant.
+    if state.reloading.swap(true, Ordering::SeqCst) {
+        return Response::error(409, "a reload is already in progress");
+    }
+    let n_posts = posts.len();
+    let shared = state.registry.clone();
+    let metrics = Arc::clone(&state.metrics);
+    let reloading = Arc::clone(&state.reloading);
+    std::thread::spawn(move || {
+        // The flag must clear even if the fit panics on a pathological corpus;
+        // a detached thread swallows panics, so without this guard a failed
+        // reload would wedge /reload behind 409s until process restart.
+        struct ClearOnExit(Arc<AtomicBool>);
+        impl Drop for ClearOnExit {
+            fn drop(&mut self) {
+                // ordering: SeqCst to pair with the claiming `swap` — the
+                // next claimant must see the registry swap that preceded us.
+                self.0.store(false, Ordering::SeqCst);
+            }
+        }
+        let _clear = ClearOnExit(reloading);
+        let texts: Vec<&str> = posts.iter().map(|p| p.post.text.as_str()).collect();
+        let labels: Vec<usize> = posts.iter().map(|p| p.label.index()).collect();
+        // Half the machine: the fit must not starve the pollers and the
+        // batch queues, which are serving live traffic off the old registry.
+        let fresh = shared.current().refit_budgeted(
+            &texts,
+            &labels,
+            ThreadBudget::new(reload_fit_threads()),
+        );
+        let fit = fresh.fit_stats();
+        shared.swap(fresh);
+        metrics.record_reload(fit);
+    });
+    Response::json(
+        202,
+        JsonValue::object(vec![
+            ("status", JsonValue::string("reloading")),
+            ("posts", JsonValue::Number(n_posts as f64)),
+        ])
+        .to_string(),
+    )
 }
 
 /// One poller thread: a readiness loop over its share of the connections,
 /// the shared listener, and its waker pipe.
 struct Poller<'a> {
-    index: usize,
+    state: &'a ServerState,
     reader: WakeReader,
     shared: Arc<PollerShared>,
-    listener: &'a TcpListener,
-    job_sender: mpsc::Sender<HandlerJob>,
-    running: &'a AtomicBool,
-    keep_alive: &'a KeepAliveConfig,
-    metrics: &'a Arc<ServeMetrics>,
-    admission: &'a Admission,
+    routes: Routes<'a>,
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
     next_generation: u64,
@@ -420,32 +726,20 @@ struct Poller<'a> {
 }
 
 impl<'a> Poller<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        index: usize,
-        reader: WakeReader,
-        shared: Arc<PollerShared>,
-        listener: &'a TcpListener,
-        job_sender: mpsc::Sender<HandlerJob>,
-        running: &'a AtomicBool,
-        keep_alive: &'a KeepAliveConfig,
-        metrics: &'a Arc<ServeMetrics>,
-        admission: &'a Admission,
-    ) -> Self {
+    fn new(reader: WakeReader, waker: Waker, routes: Routes<'a>) -> Self {
         // Wheel granularity: fine enough that evictions land near the
         // deadline, coarse enough that an idle server barely ticks.
+        let idle_timeout = routes.state.config.keep_alive.idle_timeout;
         let granularity =
-            (keep_alive.idle_timeout / 8).clamp(Duration::from_millis(10), Duration::from_secs(1));
+            (idle_timeout / 8).clamp(Duration::from_millis(10), Duration::from_secs(1));
         Self {
-            index,
+            state: routes.state,
             reader,
-            shared,
-            listener,
-            job_sender,
-            running,
-            keep_alive,
-            metrics,
-            admission,
+            shared: Arc::new(PollerShared {
+                completions: Mutex::new(Vec::new()),
+                waker,
+            }),
+            routes,
             conns: Vec::new(),
             free: Vec::new(),
             next_generation: 0,
@@ -456,8 +750,9 @@ impl<'a> Poller<'a> {
     }
 
     fn run(mut self) {
-        let idle_timeout = self.keep_alive.idle_timeout.max(Duration::from_millis(1));
-        while self.running.load(Ordering::SeqCst) {
+        let idle_timeout = self.state.config.keep_alive.idle_timeout;
+        let idle_timeout = idle_timeout.max(Duration::from_millis(1));
+        while self.state.running.load(Ordering::SeqCst) {
             self.build_set();
             let now = Instant::now();
             let timeout = self
@@ -476,42 +771,36 @@ impl<'a> Poller<'a> {
             };
             let now = Instant::now();
             if n_ready > 0 {
-                self.metrics.connections().record_wakeup();
+                self.state.metrics.connections().record_wakeup();
             }
 
             let events: Vec<ReadyEvent> = self.set.ready().collect();
             let mut touched: Vec<usize> = Vec::new();
-            for event in &events {
-                if event.token == TOKEN_WAKER {
-                    self.reader.drain();
-                } else if event.token == TOKEN_LISTENER {
-                    self.accept_new(now, idle_timeout, &mut touched);
-                }
-            }
-            for event in &events {
-                if event.token >= TOKEN_LISTENER || !event.readable {
-                    continue;
-                }
-                let slot = event.token;
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    if conn.on_readable(now).is_err() {
-                        self.close(slot);
-                        continue;
+            for event in events {
+                match event.token {
+                    TOKEN_WAKER => self.reader.drain(),
+                    TOKEN_LISTENER => self.accept_new(now, idle_timeout, &mut touched),
+                    slot => {
+                        let conn = self.conns[slot].as_mut();
+                        if event.readable && conn.is_some_and(|c| c.on_readable(now).is_err()) {
+                            self.close(slot);
+                        } else {
+                            touched.push(slot);
+                        }
                     }
-                }
-                touched.push(slot);
-            }
-            for event in &events {
-                if event.token < TOKEN_LISTENER && event.writable && !event.readable {
-                    touched.push(event.token);
                 }
             }
 
             // Collect completions every round, not only on waker events: the
             // wake and the push are not atomic together, and a spurious
             // collection is one cheap lock.
-            let completed: Vec<Completion> =
-                std::mem::take(&mut self.shared.completions.lock().unwrap());
+            let completed: Vec<Completion> = std::mem::take(
+                &mut self
+                    .shared
+                    .completions
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
             for completion in completed {
                 if let Some(conn) = self.conns[completion.slot].as_mut() {
                     if conn.generation == completion.generation {
@@ -547,12 +836,15 @@ impl<'a> Poller<'a> {
         // waits too; in-process readers use `ServerHandle::metrics`).
         // Reopening is detected on the next build: completions draining the
         // queues wake the poller, and `FALLBACK_POLL` bounds the worst case.
-        let intake_open = self.admission.intake_open();
+        let intake_open = self.state.admission.intake_open();
         self.set.clear();
         self.set.push(self.reader.fd(), Interest::READ, TOKEN_WAKER);
         if intake_open {
-            self.set
-                .push(self.listener.as_raw_fd(), Interest::READ, TOKEN_LISTENER);
+            self.set.push(
+                self.state.listener.as_raw_fd(),
+                Interest::READ,
+                TOKEN_LISTENER,
+            );
         }
         for (slot, conn) in self.conns.iter().enumerate() {
             if let Some(conn) = conn {
@@ -573,11 +865,11 @@ impl<'a> Poller<'a> {
     /// listener; losers see `WouldBlock` immediately.
     fn accept_new(&mut self, now: Instant, idle_timeout: Duration, touched: &mut Vec<usize>) {
         loop {
-            match self.listener.accept() {
+            match self.state.listener.accept() {
                 Ok((stream, _)) => {
                     self.next_generation += 1;
                     let generation = self.next_generation;
-                    let bucket = self.admission.new_bucket(now);
+                    let bucket = self.state.admission.new_bucket(now);
                     let Ok(conn) = Connection::new(stream, generation, now, bucket) else {
                         continue;
                     };
@@ -591,7 +883,7 @@ impl<'a> Poller<'a> {
                             self.conns.len() - 1
                         }
                     };
-                    self.metrics.connections().record_accepted();
+                    self.state.metrics.connections().record_accepted();
                     self.wheel.schedule(now + idle_timeout, slot, generation);
                     touched.push(slot);
                 }
@@ -607,47 +899,34 @@ impl<'a> Poller<'a> {
     }
 
     /// Drive one connection as far as it will go without blocking: parse and
-    /// dispatch new requests, serialize completed responses in order, flush,
+    /// route new requests, serialize completed responses in order, flush,
     /// and close if the session is over.
     fn pump(&mut self, slot: usize, now: Instant) {
-        let mut broken = false;
-        {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let generation = conn.generation;
+        let requests = conn.take_requests(
+            now,
+            self.state.config.keep_alive.max_requests,
+            &self.state.metrics,
+            &self.state.admission,
+        );
+        for (seq, request, trace) in requests {
+            let reply_to = ReplyTo {
+                poller: Arc::clone(&self.shared),
+                slot,
+                generation,
+                seq,
             };
-            let generation = conn.generation;
-            let requests = conn.take_requests(
-                now,
-                self.keep_alive.max_requests,
-                self.metrics,
-                self.admission,
-            );
-            for (seq, request, trace) in requests {
-                let job = HandlerJob {
-                    poller: self.index,
-                    slot,
-                    generation,
-                    seq,
-                    request,
-                    trace,
-                };
-                if self.job_sender.send(job).is_err() {
-                    // Shutting down: the response will never come, and the
-                    // poller is about to drop the connection anyway.
-                    break;
-                }
-            }
-            let conn = self.conns[slot].as_mut().expect("connection still live");
-            conn.serialize_ready(self.running.load(Ordering::SeqCst));
-            if conn.wants_write() {
-                broken = conn.on_writable(now, self.metrics).is_err();
+            if let Some((response, mut trace)) = self.routes.route(request, trace, reply_to) {
+                finish(&self.state.metrics, &response, &mut trace);
+                conn.complete(seq, response, trace);
             }
         }
-        if broken
-            || self.conns[slot]
-                .as_ref()
-                .is_some_and(|conn| conn.should_close())
-        {
+        conn.serialize_ready(self.state.running.load(Ordering::SeqCst));
+        let broken = conn.wants_write() && conn.on_writable(now, &self.state.metrics).is_err();
+        if broken || conn.should_close() {
             self.close(slot);
         }
     }
@@ -669,7 +948,7 @@ impl<'a> Poller<'a> {
             // connection merely waiting on a slow model batch has in-flight
             // work and no stuck output, so it is rescheduled, not evicted.
             if idle_for >= idle_timeout && (conn.is_idle() || conn.wants_write()) {
-                self.metrics.connections().record_idle_eviction();
+                self.state.metrics.connections().record_idle_eviction();
                 self.close(slot);
             } else {
                 let deadline = (conn.last_activity + idle_timeout).max(now + self.granularity);
@@ -683,356 +962,9 @@ impl<'a> Poller<'a> {
     fn close(&mut self, slot: usize) {
         if self.conns[slot].take().is_some() {
             self.free.push(slot);
-            self.metrics.connections().record_closed();
+            self.state.metrics.connections().record_closed();
         }
     }
-}
-
-fn route(request: &Request, context: &RequestContext<'_>, trace: &mut RequestTrace) -> Response {
-    let endpoint = Endpoint::resolve(&request.method, &request.path);
-    trace.endpoint = endpoint.name();
-    context.metrics.record_request(endpoint);
-    match endpoint {
-        Endpoint::Health => handle_healthz(context),
-        Endpoint::Metrics => {
-            // Content negotiation: Prometheus text when asked for via
-            // `?format=prometheus` or an `Accept` admitting text/plain; the
-            // JSON document otherwise.
-            if request.query_param("format") == Some("prometheus")
-                || request.accept.to_ascii_lowercase().contains("text/plain")
-            {
-                Response::text(200, context.metrics.render_prometheus())
-            } else {
-                Response::ok(context.metrics.snapshot().to_string())
-            }
-        }
-        Endpoint::DebugSlow => {
-            Response::ok(context.metrics.obs().slow_traces().to_json().to_string())
-        }
-        Endpoint::Predict => handle_predict(request, context, trace),
-        Endpoint::Explain => handle_explain(request, context, trace),
-        Endpoint::Reload => handle_reload(&request.body, context),
-        Endpoint::Other => match request.path.as_str() {
-            "/healthz" | "/metrics" | "/predict" | "/explain" | "/reload" | "/debug/slow" => {
-                Response::error(405, "method not allowed")
-            }
-            _ => Response::error(404, "no such endpoint"),
-        },
-    }
-}
-
-/// Inline the trace's stage breakdown into a response body when the client
-/// opted in with `?trace=1`: the body's top-level object gains a `trace`
-/// section with the id and the stages stamped so far (the write stage is
-/// still ahead — it can only appear in `/debug/slow`).
-fn inline_trace(request: &Request, trace: &RequestTrace, fields: &mut Vec<(&str, JsonValue)>) {
-    if request.query_param("trace") != Some("1") {
-        return;
-    }
-    fields.push((
-        "trace",
-        JsonValue::object(vec![
-            ("trace_id", JsonValue::string(trace.id_hex())),
-            ("stages", trace.stages_json()),
-        ]),
-    ));
-}
-
-fn handle_healthz(context: &RequestContext<'_>) -> Response {
-    let registry = context.registry.current();
-    let models = registry
-        .kinds()
-        .iter()
-        .map(|k| JsonValue::string(k.name()))
-        .collect();
-    let (version, git) = build_info();
-    Response::ok(
-        JsonValue::object(vec![
-            ("status", JsonValue::string("ok")),
-            ("models", JsonValue::Array(models)),
-            (
-                "default_model",
-                JsonValue::string(registry.default_kind().name()),
-            ),
-            (
-                "reloading",
-                JsonValue::Bool(context.reloading.load(Ordering::SeqCst)),
-            ),
-            (
-                "open_connections",
-                JsonValue::Number(context.metrics.connections().open() as f64),
-            ),
-            (
-                "uptime_s",
-                JsonValue::Number(context.metrics.uptime().as_secs_f64()),
-            ),
-            (
-                "build",
-                JsonValue::object(vec![
-                    ("version", JsonValue::string(version)),
-                    ("git", JsonValue::string(git)),
-                ]),
-            ),
-        ])
-        .to_string(),
-    )
-}
-
-/// `POST /predict`: `{"texts": ["…", …]}` (or `{"text": "…"}`), optional
-/// `"model"`. Every text goes through its model's batch queue, so concurrent
-/// requests for the same kind share scoring batches — and requests for
-/// different kinds never wait on each other. Stamps the trace's enqueue /
-/// batch-drain / scored boundaries; `?trace=1` inlines the breakdown.
-fn handle_predict(
-    request: &Request,
-    context: &RequestContext<'_>,
-    trace: &mut RequestTrace,
-) -> Response {
-    let document = match JsonValue::parse(&request.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("invalid JSON body: {e}")),
-    };
-    let texts: Vec<String> = if let Some(array) = document.get("texts").and_then(|v| v.as_array()) {
-        let mut texts = Vec::with_capacity(array.len());
-        for item in array {
-            match item.as_str() {
-                Some(s) => texts.push(s.to_string()),
-                None => return Response::error(400, "`texts` must be an array of strings"),
-            }
-        }
-        texts
-    } else if let Some(text) = document.get("text").and_then(|v| v.as_str()) {
-        vec![text.to_string()]
-    } else {
-        return Response::error(400, "body needs a `texts` array or a `text` string");
-    };
-    if texts.is_empty() {
-        return Response::error(400, "no texts to score");
-    }
-    if texts.len() > MAX_TEXTS_PER_REQUEST {
-        return Response::error(
-            413,
-            &format!("at most {MAX_TEXTS_PER_REQUEST} texts per request"),
-        );
-    }
-
-    let model_name = document.get("model").and_then(|v| v.as_str());
-    let (kind, _model) = match context.registry.current().resolve(model_name) {
-        Ok(resolved) => resolved,
-        Err(e) => return Response::error(400, &e),
-    };
-    trace.kind = Some(kind.name());
-
-    trace.stamp(TraceStamp::QueueEnqueue);
-    let (rows, timing) = match context.batcher.predict_many(kind, texts) {
-        Ok(scored) => scored,
-        // 429 = healthy but full (retry after the hint); 503 = the model or
-        // server is unavailable (the reload/shutdown path); 500 = broke.
-        Err(e @ PredictError::QueueFull { .. }) => {
-            context
-                .metrics
-                .record_shed(Endpoint::Predict, ShedReason::QueueFull);
-            return Response::too_many(&e.to_string(), context.admission.retry_after_secs());
-        }
-        Err(e @ (PredictError::NotLoaded(_) | PredictError::Shutdown)) => {
-            return Response::error(503, &e.to_string())
-        }
-        Err(e @ PredictError::Failed) => return Response::error(500, &e.to_string()),
-    };
-    if let Some(timing) = timing {
-        trace.stamp_at(TraceStamp::BatchDrain, timing.drained);
-        trace.stamp_at(TraceStamp::Scored, timing.scored);
-    }
-
-    let results: Vec<JsonValue> = rows
-        .into_iter()
-        .map(|row| {
-            let label_index = argmax(&row).unwrap_or(0);
-            JsonValue::object(vec![
-                (
-                    "probabilities",
-                    JsonValue::Array(row.iter().map(|&p| JsonValue::Number(p)).collect()),
-                ),
-                (
-                    "label",
-                    JsonValue::string(WellnessDimension::from_index(label_index).code()),
-                ),
-                ("label_index", JsonValue::Number(label_index as f64)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("model", JsonValue::string(kind.name())),
-        ("results", JsonValue::Array(results)),
-    ];
-    inline_trace(request, trace, &mut fields);
-    Response::ok(JsonValue::object(fields).to_string())
-}
-
-/// `POST /explain`: `{"text": "…"}`, optional `"model"`, `"top_k"`,
-/// `"n_samples"`. Runs LIME against the warm scorer (any backend — the
-/// explainer sees only `dyn Scorer`); the perturbation set is scored through
-/// the batched `predict_proba` path in [`LimeConfig::batch_size`] chunks.
-/// The LIME run is the `score` stage of the request's trace (it bypasses the
-/// batch queues, so there are no enqueue/drain boundaries).
-fn handle_explain(
-    request: &Request,
-    context: &RequestContext<'_>,
-    trace: &mut RequestTrace,
-) -> Response {
-    // Graceful degradation: an explanation costs hundreds of LIME scoring
-    // calls, so it is the first thing to go under queue pressure — checked
-    // before even parsing the body, while `/predict` keeps serving until its
-    // own (higher) per-kind cap.
-    if context.admission.should_shed_explain() {
-        context
-            .metrics
-            .record_shed(Endpoint::Explain, ShedReason::Degraded);
-        return Response::too_many(
-            "explanations are shed under load; retry later",
-            context.admission.retry_after_secs(),
-        );
-    }
-    let document = match JsonValue::parse(&request.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("invalid JSON body: {e}")),
-    };
-    let text = match document.get("text").and_then(|v| v.as_str()) {
-        Some(t) => t,
-        None => return Response::error(400, "body needs a `text` string"),
-    };
-    // LIME's cost is driven by the number of interpretable features (distinct
-    // word types), not bytes: cap it before the surrogate solve, counting
-    // exactly what the explainer will solve over.
-    let distinct_words = holistix_explain::interpretable_features(text).len();
-    if distinct_words > MAX_EXPLAIN_FEATURES {
-        return Response::error(
-            413,
-            &format!(
-                "text has {distinct_words} distinct words; /explain accepts at most {MAX_EXPLAIN_FEATURES}"
-            ),
-        );
-    }
-    // Pin the scorer Arc now: if a reload swaps the registry mid-explanation,
-    // this request still finishes on the model it started with.
-    let (kind, model) = match context
-        .registry
-        .current()
-        .resolve(document.get("model").and_then(|v| v.as_str()))
-    {
-        Ok(resolved) => resolved,
-        Err(e) => return Response::error(400, &e),
-    };
-    trace.kind = Some(kind.name());
-
-    let mut lime = context.lime.clone();
-    if let Some(n_samples) = document.get("n_samples").and_then(|v| v.as_usize()) {
-        lime.n_samples = n_samples.clamp(10, 2000);
-    }
-    if let Some(top_k) = document.get("top_k").and_then(|v| v.as_usize()) {
-        lime.top_k = top_k.clamp(1, 50);
-    }
-    let top_k = lime.top_k;
-    let model: &dyn Scorer = &*model;
-    let explanation = LimeExplainer::new(lime).explain(model, text, None);
-    trace.stamp(TraceStamp::Scored);
-
-    let tokens: Vec<JsonValue> = explanation
-        .token_weights
-        .iter()
-        .take(top_k)
-        .map(|(token, weight)| {
-            JsonValue::object(vec![
-                ("token", JsonValue::string(token.clone())),
-                ("weight", JsonValue::Number(*weight)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("model", JsonValue::string(kind.name())),
-        (
-            "label",
-            JsonValue::string(WellnessDimension::from_index(explanation.target_class).code()),
-        ),
-        (
-            "target_class",
-            JsonValue::Number(explanation.target_class as f64),
-        ),
-        (
-            "target_probability",
-            JsonValue::Number(explanation.target_probability),
-        ),
-        ("tokens", JsonValue::Array(tokens)),
-    ];
-    inline_trace(request, trace, &mut fields);
-    Response::ok(JsonValue::object(fields).to_string())
-}
-
-/// `POST /reload`: the body is a JSONL corpus in the `corpus::io` schema. The
-/// handler thread only parses and validates; the fit of the fresh registry
-/// runs on its own dedicated thread — never on an HTTP handler or a batch
-/// queue — and the new registry is atomically swapped in when ready, so
-/// `/predict` keeps answering (from the old models) for the whole duration.
-/// Responds `202` with the accepted post count, `400` on a malformed or empty
-/// corpus, `409` if a reload is already in flight. Completion is observable
-/// in `GET /metrics` (`registry.reloads_total`, `registry.corpus_size`) and
-/// `GET /healthz` (`reloading`).
-fn handle_reload(body: &str, context: &RequestContext<'_>) -> Response {
-    let posts = match holistix_corpus::io::from_jsonl(body) {
-        Ok(posts) => posts,
-        Err(e) => return Response::error(400, &format!("invalid JSONL corpus: {e}")),
-    };
-    if posts.is_empty() {
-        return Response::error(400, "reload corpus has no posts");
-    }
-    if posts.len() > MAX_RELOAD_POSTS {
-        return Response::error(413, &format!("at most {MAX_RELOAD_POSTS} posts per reload"));
-    }
-    // One reload at a time: claim the flag before spawning; losing claimants
-    // are told to retry rather than queueing fits.
-    // ordering: SeqCst — the flag gates a whole model-fit critical section,
-    // and reloads are rare enough that the fence cost is irrelevant.
-    if context.reloading.swap(true, Ordering::SeqCst) {
-        return Response::error(409, "a reload is already in progress");
-    }
-    let n_posts = posts.len();
-    let shared = context.registry.clone();
-    let metrics = Arc::clone(context.metrics);
-    let reloading = Arc::clone(context.reloading);
-    std::thread::spawn(move || {
-        // The flag must clear even if the fit panics on a pathological corpus;
-        // a detached thread swallows panics, so without this guard a failed
-        // reload would wedge /reload behind 409s until process restart.
-        struct ClearOnExit(Arc<AtomicBool>);
-        impl Drop for ClearOnExit {
-            fn drop(&mut self) {
-                // ordering: SeqCst to pair with the claiming `swap` — the
-                // next claimant must see the registry swap that preceded us.
-                self.0.store(false, Ordering::SeqCst);
-            }
-        }
-        let _clear = ClearOnExit(reloading);
-        let texts: Vec<&str> = posts.iter().map(|p| p.post.text.as_str()).collect();
-        let labels: Vec<usize> = posts.iter().map(|p| p.label.index()).collect();
-        // Half the machine: the fit must not starve the handler pool and the
-        // batch queues, which are serving live traffic off the old registry.
-        let fresh = shared.current().refit_budgeted(
-            &texts,
-            &labels,
-            ThreadBudget::new(reload_fit_threads()),
-        );
-        let fit = fresh.fit_stats();
-        shared.swap(fresh);
-        metrics.record_reload(fit);
-    });
-    Response::json(
-        202,
-        JsonValue::object(vec![
-            ("status", JsonValue::string("reloading")),
-            ("posts", JsonValue::Number(n_posts as f64)),
-        ])
-        .to_string(),
-    )
 }
 
 #[cfg(test)]
@@ -1050,7 +982,6 @@ mod tests {
             seed: 3,
         });
         let config = ServeConfig {
-            handlers: 4,
             batch: BatchConfig { max_batch: 8 },
             lime: LimeConfig {
                 n_samples: 40,
@@ -1148,7 +1079,6 @@ mod tests {
             seed: 3,
         });
         let config = ServeConfig {
-            handlers: 2,
             keep_alive: KeepAliveConfig {
                 max_requests: 2,
                 idle_timeout: Duration::from_secs(5),
@@ -1185,7 +1115,6 @@ mod tests {
             seed: 3,
         });
         let config = ServeConfig {
-            handlers: 2,
             keep_alive: KeepAliveConfig {
                 max_requests: 100,
                 idle_timeout: Duration::from_millis(100),
@@ -1258,7 +1187,7 @@ mod tests {
         let server = tiny_server();
         let addr = server.addr();
 
-        // Malformed and empty corpora are rejected on the handler thread.
+        // Malformed and empty corpora are rejected on the admin thread.
         let (status, body) = http_request(addr, "POST", "/reload", Some("not jsonl")).unwrap();
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("invalid JSONL"));

@@ -90,7 +90,7 @@ fn fixed_state() -> ServeMetrics {
     }
     connections.record_pipelined();
     connections.record_idle_eviction();
-    metrics.set_thread_plan(2, 8, 3);
+    metrics.set_thread_plan(2, 1, 3);
 
     let lr = metrics.queue("LR", "classical");
     let bert = metrics.queue("BERT", "transformer");
@@ -105,7 +105,7 @@ fn fixed_state() -> ServeMetrics {
         &metrics,
         Endpoint::Predict,
         &[
-            (HandlerStart, 10),
+            (Routed, 10),
             (QueueEnqueue, 25),
             (BatchDrain, 125),
             (Scored, 1_125),
@@ -117,7 +117,7 @@ fn fixed_state() -> ServeMetrics {
         &metrics,
         Endpoint::Predict,
         &[
-            (HandlerStart, 30),
+            (Routed, 30),
             (QueueEnqueue, 90),
             (BatchDrain, 5_000),
             (Scored, 53_000),
@@ -128,7 +128,7 @@ fn fixed_state() -> ServeMetrics {
     trace(
         &metrics,
         Endpoint::Health,
-        &[(HandlerStart, 5), (ResponseQueued, 40), (WriteDone, 60)],
+        &[(Routed, 5), (ResponseQueued, 40), (WriteDone, 60)],
     );
 
     for corpus_size in [1_000, 2_000] {

@@ -4,8 +4,13 @@
 //! must be exact regardless of how values are split across shards — and for
 //! the admission token bucket: over any schedule it never admits more than
 //! `burst + rate·elapsed` requests, its token count never leaves
-//! `[0, burst]`, and refill is monotone in time.
+//! `[0, burst]`, and refill is monotone in time — and for the code the
+//! pollers run on client bytes: the request parser yields the same requests
+//! and the same error however a byte stream is split into reads, and
+//! neither it nor the JSON parser panics on random or mutated input.
 
+use holistix_corpus::json::JsonValue;
+use holistix_serve::http::RequestParser;
 use holistix_serve::{HistogramSnapshot, LogHistogram, TokenBucket};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -182,5 +187,145 @@ proptest! {
             !earlier_admits || later_admits,
             "admitted at {t1_ms}ms but refused {extra_ms}ms later"
         );
+    }
+}
+
+/// The fields of one parsed request, comparable across parses.
+type Parsed = (String, String, String, String, String, bool);
+
+/// Feed `stream` to a fresh parser in pieces cut at `cuts` (byte offsets, in
+/// any order), draining every complete request after each piece, until the
+/// parser errors: the requests parsed, then the error, if any.
+fn parse_in_pieces(stream: &[u8], cuts: &[usize]) -> (Vec<Parsed>, Option<String>) {
+    let mut ends: Vec<usize> = cuts.iter().map(|&cut| cut.min(stream.len())).collect();
+    ends.push(stream.len());
+    ends.sort_unstable();
+    let mut parser = RequestParser::new();
+    let mut parsed = Vec::new();
+    let mut start = 0;
+    for end in ends {
+        parser.feed(&stream[start..end]);
+        start = end;
+        loop {
+            match parser.poll_request() {
+                Ok(Some(r)) => parsed.push((r.method, r.path, r.query, r.accept, r.body, r.close)),
+                Ok(None) => break,
+                Err(e) => return (parsed, Some(e.to_string())),
+            }
+        }
+    }
+    (parsed, None)
+}
+
+/// One request's bytes: well-formed requests with and without bodies (CRLF
+/// and bare-LF framing), and the malformed kinds the parser must reject or
+/// wait out — a non-numeric `Content-Length`, a body shorter than its
+/// length, an oversized head, and raw payload bytes.
+fn request_bytes(template: usize, payload: &str) -> Vec<u8> {
+    let n = payload.len();
+    match template {
+        0 => "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+        1 => format!(
+            "POST /predict?trace=1 HTTP/1.1\r\nContent-Length: {n}\r\nAccept: text/plain\r\n\r\n{payload}"
+        ),
+        2 => format!("POST /explain HTTP/1.1\ncontent-length: {n}\nConnection: close\n\n{payload}"),
+        3 => format!("POST /p HTTP/1.1\r\nContent-Length: {payload}\r\n\r\n"),
+        4 => format!("GET /{payload} HTTP/1.1\r\nX-Note: {payload}\r\n\r\n"),
+        5 => format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n{payload}", n + 3),
+        6 => format!("GET / HTTP/1.1\r\nX-Junk: {}\r\n\r\n", "A".repeat(17_000)),
+        _ => payload.to_string(),
+    }
+    .into_bytes()
+}
+
+/// A byte stream of pipelined requests.
+fn stream_of(requests: &[(usize, String)]) -> Vec<u8> {
+    requests
+        .iter()
+        .flat_map(|(template, payload)| request_bytes(*template, payload))
+        .collect()
+}
+
+/// `bytes` after each `(op, at, insert)` edit: truncate at `at`, flip the
+/// bits of the byte at `at` with `insert[0]`, or splice `insert` in at `at`
+/// (offsets wrap to the current length).
+fn mutate(mut bytes: Vec<u8>, edits: &[(usize, usize, Vec<u32>)]) -> Vec<u8> {
+    for (op, at, insert) in edits {
+        let insert: Vec<u8> = insert.iter().map(|&b| b as u8).collect();
+        let at = at % (bytes.len() + 1);
+        match op {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => bytes[at] ^= insert.first().copied().unwrap_or(0xFF) | 1,
+            _ => {
+                bytes.splice(at..at, insert);
+            }
+        }
+    }
+    bytes
+}
+
+fn random_bytes(bytes: Vec<u32>) -> Vec<u8> {
+    bytes.into_iter().map(|b| b as u8).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A poller reads whatever the socket hands it: the same stream fed
+    /// whole, cut at random points or one byte at a time parses to the same
+    /// requests and the same error.
+    #[test]
+    fn request_parser_is_fragmentation_invariant(
+        requests in collection::vec((0usize..8, ".{0,24}"), 1..6),
+        cuts in collection::vec(0.0f64..1.0, 0..12),
+    ) {
+        let stream = stream_of(&requests);
+        let whole = parse_in_pieces(&stream, &[]);
+        let cuts: Vec<usize> = cuts.iter().map(|f| (f * stream.len() as f64) as usize).collect();
+        prop_assert_eq!(&parse_in_pieces(&stream, &cuts), &whole);
+        let every_byte: Vec<usize> = (1..stream.len()).collect();
+        prop_assert_eq!(&parse_in_pieces(&stream, &every_byte), &whole);
+    }
+
+    /// No byte stream kills a poller: random bytes, and valid request
+    /// streams truncated, bit-flipped and spliced, parse to requests or an
+    /// error — the same however they are cut.
+    #[test]
+    fn request_parser_never_panics_on_random_or_mutated_bytes(
+        noise in collection::vec(0u32..256, 0..300),
+        requests in collection::vec((0usize..8, ".{0,24}"), 1..4),
+        edits in collection::vec((0usize..3, 0usize..20_000, collection::vec(0u32..256, 1..8)), 1..5),
+        cuts in collection::vec(0usize..20_000, 0..8),
+    ) {
+        for stream in [random_bytes(noise), mutate(stream_of(&requests), &edits)] {
+            let whole = parse_in_pieces(&stream, &[]);
+            prop_assert_eq!(&parse_in_pieces(&stream, &cuts), &whole);
+        }
+    }
+
+    /// No request body kills a poller: random text, random bytes, and valid
+    /// `/predict` and `/explain` bodies truncated, bit-flipped and spliced
+    /// parse to a value or an error.
+    #[test]
+    fn json_parse_never_panics_on_random_or_mutated_bodies(
+        text in ".{0,80}",
+        noise in collection::vec(0u32..256, 0..120),
+        body in 0usize..3,
+        edits in collection::vec((0usize..3, 0usize..200, collection::vec(0u32..256, 1..8)), 1..5),
+    ) {
+        let valid = [
+            r#"{"texts":["i feel alone","my job drains me"],"model":"LR"}"#,
+            r#"{"text":"i feel alone","top_k":3,"n_samples":50}"#,
+            r#"[[[{"a":[1,-2.5e3,true,null,"\u00e9\n"]}]]]"#,
+        ][body];
+        let mutated = mutate(valid.as_bytes().to_vec(), &edits);
+        for input in [
+            text,
+            String::from_utf8_lossy(&random_bytes(noise)).into_owned(),
+            String::from_utf8_lossy(&mutated).into_owned(),
+            "[".repeat(100_000),
+        ] {
+            let _ = JsonValue::parse(&input);
+        }
     }
 }

@@ -4,13 +4,16 @@
 //! scorer (the PR 5 pattern), never by a sleep, so the assertions hold on any
 //! machine: a queue filled to its cap rejects the next request with `429` and
 //! a parseable `Retry-After` while the *other* kind keeps answering
-//! bit-identically; `/explain` sheds before `/predict`; a per-connection
-//! token bucket admits exactly its burst; and the global intake valve stops
-//! reading new requests until the backlog drains.
+//! bit-identically; `/explain` sheds before `/predict`; an explain reserves
+//! its whole perturbation set against its kind's queue, so an explain flood
+//! sheds instead of starving the other routes; a per-connection token bucket
+//! admits exactly its burst; and the global intake valve stops reading new
+//! requests until the backlog drains.
 
 use holistix::corpus::JsonValue;
 use holistix::{BaselineKind, FittedBaseline, Scorer, SpeedProfile};
 use holistix_corpus::HolistixCorpus;
+use holistix_explain::{LimeConfig, LimeExplainer};
 use holistix_serve::{
     http_request, serve, AdmissionConfig, BatchConfig, Endpoint, HttpClient, ModelRegistry,
     RateLimitConfig, ServeConfig, ShedReason,
@@ -97,7 +100,6 @@ fn full_queue_rejects_with_retry_after_while_other_kind_serves() {
         "127.0.0.1:0",
         registry,
         ServeConfig {
-            handlers: 8,
             batch: BatchConfig { max_batch: 8 },
             admission: AdmissionConfig {
                 max_queue_depth: 3,
@@ -260,6 +262,142 @@ fn full_queue_rejects_with_retry_after_while_other_kind_serves() {
     server.shutdown();
 }
 
+/// An explain flood against a gated stub, under the default admission and
+/// LIME settings: each admitted explain reserves its whole perturbation set
+/// (201 texts) on the stub's queue, so once the queue holds three of them
+/// the rest shed at `explain_shed_depth` (512) — and while the three are
+/// gated, LR `/predict` and `/healthz` still answer, because no route waits
+/// on a thread the explains hold. After the release the admitted explains
+/// answer exactly what LIME answers directly, and the stub's queue counted
+/// every text LIME scored.
+#[test]
+fn explain_flood_reserves_queue_depth_and_sheds_past_the_threshold() {
+    let corpus = HolistixCorpus::generate_small(120, 29);
+    let texts = corpus.texts();
+    let labels = corpus.label_indices();
+    let lr = Arc::new(FittedBaseline::fit(
+        BaselineKind::LogisticRegression,
+        SpeedProfile::Tiny,
+        &texts,
+        &labels,
+        29,
+    ));
+    let release = Arc::new(AtomicBool::new(false));
+    let registry = ModelRegistry::from_scorers(vec![
+        lr.clone() as Arc<dyn Scorer>,
+        Arc::new(GatedScorer {
+            release: Arc::clone(&release),
+        }),
+    ]);
+    let server = serve("127.0.0.1:0", registry, ServeConfig::default()).expect("bind loopback");
+    let addr = server.addr();
+    let metrics = server.metrics();
+    let stub = metrics.queue("BERT", "transformer");
+    let degraded = || {
+        metrics
+            .admission()
+            .shed_count(Endpoint::Explain, ShedReason::Degraded)
+    };
+    let text = "i feel alone and my job drains me every single day";
+    let body = format!(
+        "{{\"text\":{},\"model\":\"BERT\"}}",
+        holistix::corpus::json::json_escape(text)
+    );
+
+    let answers = crossbeam::thread::scope(|scope| {
+        let mut explains = Vec::new();
+        for i in 0..8 {
+            let (depth, shed) = (stub.depth(), degraded());
+            let body = &body;
+            explains.push(scope.spawn(move |_| {
+                let mut client = HttpClient::connect(addr).expect("connect");
+                client
+                    .request_full("POST", "/explain", Some(body), &[])
+                    .expect("explain")
+            }));
+            wait_until(&format!("explain {i} to be admitted or shed"), || {
+                stub.depth() > depth || degraded() > shed
+            });
+        }
+        // Three perturbation sets hold the stub's queue; the rest shed.
+        assert_eq!(stub.depth(), 603);
+        assert_eq!(degraded(), 5);
+
+        // While the gate holds, the other routes answer.
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let body = format!(
+            "{{\"text\":{},\"model\":\"LR\"}}",
+            holistix::corpus::json::json_escape(texts[0])
+        );
+        let (status, response) = client.request("POST", "/predict", Some(&body)).unwrap();
+        assert_eq!(status, 200, "{response}");
+        let document = JsonValue::parse(&response).unwrap();
+        let got: Vec<u64> = document.get("results").unwrap().as_array().unwrap()[0]
+            .get("probabilities")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|p| p.as_f64().unwrap().to_bits())
+            .collect();
+        let want: Vec<u64> = lr
+            .probabilities_one(texts[0])
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        assert_eq!(got, want, "LR row diverged under the explain flood");
+        let (status, response) = client.request("GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{response}");
+
+        release.store(true, Ordering::SeqCst);
+        explains
+            .into_iter()
+            .map(|explain| explain.join().expect("explain client"))
+            .collect::<Vec<_>>()
+    })
+    .expect("explain flood scope failed");
+
+    let gated: &dyn Scorer = &GatedScorer { release };
+    let direct = LimeExplainer::new(LimeConfig::default()).explain(gated, text, None);
+    let (admitted, shed): (Vec<_>, Vec<_>) =
+        answers.iter().partition(|(status, _, _)| *status == 200);
+    assert_eq!(admitted.len(), 3);
+    for (_, response, _) in admitted {
+        let document = JsonValue::parse(response).unwrap();
+        assert_eq!(
+            document.get("target_class").unwrap().as_usize(),
+            Some(direct.target_class)
+        );
+        assert_eq!(
+            document
+                .get("target_probability")
+                .unwrap()
+                .as_f64()
+                .map(f64::to_bits),
+            Some(direct.target_probability.to_bits())
+        );
+        let tokens = document.get("tokens").unwrap().as_array().unwrap();
+        assert_eq!(tokens.len(), LimeConfig::default().top_k);
+        for (served, (token, weight)) in tokens.iter().zip(&direct.token_weights) {
+            assert_eq!(served.get("token").unwrap().as_str(), Some(token.as_str()));
+            assert_eq!(
+                served.get("weight").unwrap().as_f64().map(f64::to_bits),
+                Some(weight.to_bits())
+            );
+        }
+    }
+    assert_eq!(shed.len(), 5);
+    for (status, response, headers) in shed {
+        assert_eq!(*status, 429, "{response}");
+        assert!(retry_after_secs(headers) >= 1);
+    }
+    let snapshot = metrics.snapshot();
+    let queue = snapshot.get("queues").unwrap().get("BERT").unwrap();
+    assert_eq!(queue.get("texts_scored").unwrap().as_f64(), Some(603.0));
+    assert_eq!(queue.get("depth").unwrap().as_f64(), Some(0.0));
+    server.shutdown();
+}
+
 /// The per-connection token bucket: with a zero refill rate the bucket is
 /// pure burst, so one connection gets exactly `burst` requests and then 429s
 /// (connection still open, framing intact), while a fresh connection mints a
@@ -276,7 +414,6 @@ fn token_bucket_admits_exactly_the_burst_per_connection() {
         "127.0.0.1:0",
         registry,
         ServeConfig {
-            handlers: 4,
             admission: AdmissionConfig {
                 // rate 0 never refills: the bucket admits exactly `burst`
                 // requests per connection, ever — fully deterministic.
@@ -336,7 +473,6 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
         "127.0.0.1:0",
         registry,
         ServeConfig {
-            handlers: 4,
             batch: BatchConfig { max_batch: 8 },
             admission: AdmissionConfig {
                 global_intake_limit: 2,

@@ -31,7 +31,6 @@ fn lr_registry() -> ModelRegistry {
 
 fn serve_registry(registry: ModelRegistry) -> holistix_serve::ServerHandle {
     let config = ServeConfig {
-        handlers: 8,
         batch: BatchConfig { max_batch: 8 },
         ..ServeConfig::default()
     };
@@ -379,7 +378,6 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
         "127.0.0.1:0",
         registry,
         ServeConfig {
-            handlers: 4,
             batch: BatchConfig { max_batch: 8 },
             ..ServeConfig::default()
         },
