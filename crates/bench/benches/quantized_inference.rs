@@ -117,7 +117,7 @@ fn bench_quantized_inference(c: &mut Criterion) {
 
     let section = JsonValue::object(vec![
         ("model", JsonValue::string(ModelKind::MentalBert.name())),
-        ("profile", JsonValue::string("hidden64x2")),
+        ("shape", JsonValue::string("hidden64x2")),
         ("train_posts", JsonValue::Number(TRAIN_POSTS as f64)),
         ("batch", JsonValue::Number(BATCH as f64)),
         (

@@ -451,9 +451,8 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
 
 /// One-shot blocking HTTP client: connect, send one `Connection: close`
 /// request, read the full response. Returns `(status, body)`. Used by the
-/// integration tests and the `serve_demo` load generator; sessions that issue
-/// several requests should hold an [`HttpClient`] instead and reuse the
-/// connection.
+/// integration tests and the `serve_demo` smoke; sessions that issue several
+/// requests should hold an [`HttpClient`] instead and reuse the connection.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,

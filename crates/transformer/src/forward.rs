@@ -20,8 +20,9 @@ use holistix_linalg::{matmul_accumulate, softmax, Matrix};
 use std::borrow::Cow;
 use std::ops::{Add, AddAssign, Div, Mul};
 
-/// The activation scalar: its per-scalar ops are the only code that differs
-/// between the f64 and the f32 forward.
+/// The activation scalar: its per-scalar ops (GELU, softmax, layer norm) are
+/// the only arithmetic that differs between the f64 and the f32 forward;
+/// every product runs through [`matmul_accumulate`] for both.
 pub(crate) trait Scalar:
     Copy
     + Default
@@ -36,9 +37,6 @@ pub(crate) trait Scalar:
     fn gelu(self) -> Self;
     fn softmax(row: &mut [Self]);
     fn layer_norm(row: &mut [Self], gamma: &[Self], beta: &[Self], eps: Self);
-    /// The `n × n` attention scores `q · kᵀ` of one head; `q` and `k` are
-    /// `n × head_dim`, row-major.
-    fn scores(q: &[Self], k: &[Self], head_dim: usize) -> Vec<Self>;
 }
 
 impl Scalar for f64 {
@@ -57,15 +55,21 @@ impl Scalar for f64 {
     fn layer_norm(row: &mut [f64], gamma: &[f64], beta: &[f64], eps: f64) {
         layer_norm_in_place(row, gamma, beta, eps);
     }
+}
 
-    /// The tape's `matmul(q, transpose(k))`.
-    fn scores(q: &[f64], k: &[f64], head_dim: usize) -> Vec<f64> {
-        let n = k.len() / head_dim;
-        let kt = Matrix::from_vec(n, head_dim, k.to_vec()).transpose();
-        let mut out = vec![0.0; n * n];
-        matmul_accumulate(q, head_dim, kt.data(), n, &mut out);
-        out
+/// The `n × n` attention scores `q · kᵀ` of one head, as the tape's
+/// `matmul(q, transpose(k))`; `q` and `k` are `n × head_dim`, row-major.
+fn scores<S: Scalar>(q: &[S], k: &[S], head_dim: usize) -> Vec<S> {
+    let n = k.len() / head_dim;
+    let mut kt = vec![S::default(); k.len()];
+    for (j, row) in k.chunks_exact(head_dim).enumerate() {
+        for (d, &v) in row.iter().enumerate() {
+            kt[d * n + j] = v;
+        }
     }
+    let mut out = vec![S::default(); n * n];
+    matmul_accumulate(q, head_dim, &kt, n, &mut out);
+    out
 }
 
 /// A linear layer: `x · W` for every row of `x`.
@@ -130,7 +134,7 @@ impl<S: Scalar, L: Linear<S>> Attention<'_, S, L> {
         let scale = S::from_f64(1.0 / (head_dim as f64).sqrt());
         let causal = config.attention == AttentionKind::Causal;
         let heads = self.heads.iter().map(|[wq, wk, wv, wo]| {
-            let mut weights = S::scores(&wq.apply_rows(x), &wk.apply_rows(x), head_dim);
+            let mut weights = scores(&wq.apply_rows(x), &wk.apply_rows(x), head_dim);
             for (i, row) in weights.chunks_exact_mut(n).enumerate() {
                 for (j, s) in row.iter_mut().enumerate() {
                     *s = *s * scale;

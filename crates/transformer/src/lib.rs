@@ -69,8 +69,11 @@
 //! reference path (kept for the A/B benchmark in `BENCH_transformer.json`).
 //!
 //! **Quantized i8 inference** ([`quant::QuantizedTransformer`]): weight-only
-//! symmetric i8 with per-output-row scales, f32 activations and accumulation,
-//! and f64 only at the class softmax (the [`quant`] docs give the scheme). Its
+//! symmetric i8 with per-output scales, f32 activations and accumulation,
+//! and f64 only at the class softmax (the [`quant`] docs give the scheme). The
+//! i8 matrices keep the f64 graph's `d_in × d_out` layout and run the f64
+//! forward's i-k-j matmul loop in f32, so what i8 buys is a weight store 8×
+//! smaller than f64's on the same vectorized loop, with twice the lanes. Its
 //! probabilities drift from the f64 scorer's by at most
 //! [`quant::MAX_PROBABILITY_DRIFT`] (asserted in tests), with 100 % label
 //! agreement on the seeded Table IV task. Pick it (via `holistix-core`'s

@@ -3,16 +3,16 @@
 //! [`QuantizedTransformer`] is built by quantizing a fitted
 //! [`TransformerClassifier`](crate::model::TransformerClassifier): every weight
 //! matrix (embeddings, Q/K/V/O projections, feed-forward, bottleneck, head) is
-//! stored as **per-output-row symmetric i8** with one f32 scale per row, activations
-//! and accumulation run in f32, and f64 appears only at the final class-softmax
-//! boundary.
+//! stored as **per-output symmetric i8** with one f32 scale per output,
+//! activations and accumulation run in f32, and f64 appears only at the final
+//! class-softmax boundary.
 //!
-//! Per-row (rather than per-tensor) scaling is the right granularity here: the
-//! Xavier-initialised projections drift apart per column during fine-tuning, so a
-//! single tensor-wide absmax lets one outlier column crush the resolution of every
-//! other row. Per-row scales cost `d_out` extra f32s per matrix — noise next to the
-//! i8 payload — and keep the quantization error of each output coordinate
-//! proportional to its own row's range.
+//! Per-output (rather than per-tensor) scaling is the right granularity here:
+//! the Xavier-initialised projections drift apart per output column during
+//! fine-tuning, so a single tensor-wide absmax lets one outlier column crush
+//! the resolution of every other one. Per-output scales cost `d_out` extra f32s
+//! per matrix — noise next to the i8 payload — and keep the quantization error
+//! of each output coordinate proportional to its own column's range.
 //!
 //! What stays f32 (unquantized): layer-norm gains/biases, additive biases and the
 //! XLNet relative-position bias. They are `O(hidden)`-sized (the relative bias is
@@ -21,9 +21,12 @@
 //!
 //! The i8 model runs the same graph-free forward as the f64 one
 //! ([`crate::forward`], padded-tail skip included); this module supplies its
-//! weight types and its f32 arithmetic. What it gains over the f64 model is
-//! f32 dot products over eight independent accumulator lanes and a weight
-//! working set about 8× smaller.
+//! weight types and its f32 arithmetic. Its matrices keep the f64 graph's
+//! `d_in × d_out` layout, so every product runs the same i-k-j loop
+//! (`matmul_accumulate`) in f32 over the i8 matrix widened once per call:
+//! what i8 buys is a weight store 8× smaller than f64's, on a loop that
+//! vectorizes twice as many f32 lanes per instruction, and a GELU whose tanh
+//! costs one `expf`.
 //!
 //! The end-to-end probability drift versus the f64 path is bounded by
 //! [`MAX_PROBABILITY_DRIFT`] (asserted in tests and in the `holistix-core`
@@ -34,7 +37,7 @@ use crate::forward::{
     Attention, Embedding, FeedForward, Layer, LayerNorm, Linear, Scalar, StoreWeights, Weights,
 };
 use crate::model::{words, TransformerClassifier};
-use holistix_linalg::Matrix;
+use holistix_linalg::{matmul_accumulate, Matrix};
 use holistix_text::SubwordTokenizer;
 use std::borrow::Cow;
 
@@ -43,15 +46,14 @@ use std::borrow::Cow;
 /// tests here and in `holistix-core`.
 pub const MAX_PROBABILITY_DRIFT: f64 = 0.05;
 
-/// A weight matrix quantized to per-output-row symmetric i8.
+/// A weight matrix quantized to per-output symmetric i8.
 ///
-/// Stored transposed relative to the f64 graph convention: the source matrix maps
-/// `d_in → d_out` as `x · W` with `W: d_in × d_out`; here row `j` holds the i8
-/// weights of output `j` (`d_out × d_in`, row-major) so the inner product walks
-/// contiguous memory.
+/// Kept in the f64 graph's own layout: the source maps `d_in → d_out` as
+/// `x · W` with `W: d_in × d_out`, and `weights` holds the rounded
+/// `W[i][j] / scales[j]` row-major in that same shape, one absmax/127 scale
+/// per output column `j`.
 #[derive(Debug, Clone)]
 struct QuantLinear {
-    out_dim: usize,
     in_dim: usize,
     weights: Vec<i8>,
     scales: Vec<f32>,
@@ -60,55 +62,30 @@ struct QuantLinear {
 impl QuantLinear {
     /// Quantize a `d_in × d_out` f64 weight matrix.
     fn from_matrix(w: &Matrix) -> Self {
-        let in_dim = w.rows();
-        let out_dim = w.cols();
-        let mut weights = vec![0i8; out_dim * in_dim];
-        let mut scales = vec![0f32; out_dim];
-        for j in 0..out_dim {
-            let absmax = (0..in_dim).fold(0.0f64, |m, i| m.max(w[(i, j)].abs()));
-            // An all-zero output row quantizes to zeros with any scale; 1.0 avoids
-            // a 0/0 in the round.
-            let scale = if absmax == 0.0 { 1.0 } else { absmax / 127.0 };
-            scales[j] = scale as f32;
-            for i in 0..in_dim {
-                let q = (w[(i, j)] / scale).round().clamp(-127.0, 127.0);
-                weights[j * in_dim + i] = q as i8;
-            }
-        }
+        let (in_dim, out_dim) = w.shape();
+        let scales: Vec<f64> = (0..out_dim)
+            .map(|j| {
+                let absmax = (0..in_dim).fold(0.0f64, |m, i| m.max(w[(i, j)].abs()));
+                // An all-zero output column quantizes to zeros with any
+                // scale; 1.0 avoids a 0/0 in the round.
+                if absmax == 0.0 {
+                    1.0
+                } else {
+                    absmax / 127.0
+                }
+            })
+            .collect();
+        // Row-major, so entry `k` lies in column `k % out_dim`.
+        let weights = w
+            .data()
+            .iter()
+            .zip(scales.iter().cycle())
+            .map(|(&v, &scale)| (v / scale).round().clamp(-127.0, 127.0) as i8)
+            .collect();
         Self {
-            out_dim,
             in_dim,
             weights,
-            scales,
-        }
-    }
-
-    /// `out = scale ⊙ (Q · x)`, accumulating in f32.
-    ///
-    /// Each output is a dot product; a single running accumulator would chain
-    /// every FP add behind the previous one (one multiply-add per FP-add
-    /// latency), so the loop runs eight independent lanes and folds them at
-    /// the end — the same reassociation a SIMD reduction performs. The fold
-    /// order differs from a sequential sum, which is fine: the i8 path is
-    /// bounded by the probability-drift tests, not bit-identity.
-    fn apply(&self, x: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.in_dim);
-        debug_assert_eq!(out.len(), self.out_dim);
-        for (j, out_j) in out.iter_mut().enumerate() {
-            let row = &self.weights[j * self.in_dim..(j + 1) * self.in_dim];
-            let mut acc = [0.0f32; 8];
-            let mut w8 = row.chunks_exact(8);
-            let mut x8 = x.chunks_exact(8);
-            for (w, v) in (&mut w8).zip(&mut x8) {
-                for l in 0..8 {
-                    acc[l] += w[l] as f32 * v[l];
-                }
-            }
-            let mut total: f32 = acc.iter().sum();
-            for (&q, &v) in w8.remainder().iter().zip(x8.remainder()) {
-                total += q as f32 * v;
-            }
-            *out_j = total * self.scales[j];
+            scales: scales.iter().map(|&s| s as f32).collect(),
         }
     }
 
@@ -118,13 +95,21 @@ impl QuantLinear {
 }
 
 impl Linear<f32> for QuantLinear {
+    /// `(x · Q) ⊙ scale`: the i8 matrix is widened to f32 once per call and
+    /// multiplied through the f64 forward's i-k-j loop, whose contiguous
+    /// inner loop the compiler vectorizes; each output column is scaled
+    /// after its sum. Rounding to i8 and summing in f32 move the result off
+    /// the f64 model's, which is fine: the i8 path is bounded by the
+    /// probability-drift tests, not bit-identity.
     fn apply_rows(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; x.len() / self.in_dim * self.out_dim];
-        for (row, out_row) in x
-            .chunks_exact(self.in_dim)
-            .zip(out.chunks_exact_mut(self.out_dim))
-        {
-            self.apply(row, out_row);
+        let out_dim = self.scales.len();
+        let widened: Vec<f32> = self.weights.iter().map(|&q| f32::from(q)).collect();
+        let mut out = vec![0.0f32; x.len() / self.in_dim * out_dim];
+        matmul_accumulate(x, self.in_dim, &widened, out_dim, &mut out);
+        for row in out.chunks_exact_mut(out_dim) {
+            for (o, &scale) in row.iter_mut().zip(&self.scales) {
+                *o *= scale;
+            }
         }
         out
     }
@@ -186,7 +171,7 @@ impl Scalar for f32 {
 
     fn gelu(self) -> f32 {
         let x = self;
-        0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
+        0.5 * x * (1.0 + tanh((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)))
     }
 
     fn softmax(row: &mut [f32]) {
@@ -210,30 +195,13 @@ impl Scalar for f32 {
             *v = (*v - mean) / std * gamma[j] + beta[j];
         }
     }
-
-    fn scores(q: &[f32], k: &[f32], head_dim: usize) -> Vec<f32> {
-        q.chunks_exact(head_dim)
-            .flat_map(|qi| k.chunks_exact(head_dim).map(move |kj| dot_f32(qi, kj)))
-            .collect()
-    }
 }
 
-/// f32 dot product over eight independent accumulator lanes (see
-/// [`QuantLinear::apply`] for why a single accumulator would serialize).
-fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    let mut a8 = a.chunks_exact(8);
-    let mut b8 = b.chunks_exact(8);
-    for (x, y) in (&mut a8).zip(&mut b8) {
-        for l in 0..8 {
-            acc[l] += x[l] * y[l];
-        }
-    }
-    let mut total: f32 = acc.iter().sum();
-    for (x, y) in a8.remainder().iter().zip(b8.remainder()) {
-        total += x * y;
-    }
-    total
+/// `tanh(u) = 1 − 2/(exp(2u) + 1)`: one `expf`, several times cheaper than
+/// libm's `tanhf`, within 5e-7 of the exact value, and exactly ±1 once
+/// `exp(2u)` overflows to ∞ or underflows to 0.
+fn tanh(u: f32) -> f32 {
+    1.0 - 2.0 / ((2.0 * u).exp() + 1.0)
 }
 
 /// The i8 model's weights: quantized matrices, f32 vectors.
@@ -368,6 +336,76 @@ mod tests {
     use crate::config::ModelKind;
     use crate::pretrain::PretrainConfig;
     use crate::trainer::{FineTuneConfig, Trainer};
+    use holistix_linalg::Rng64;
+
+    #[test]
+    fn apply_rows_matches_the_dequantized_f64_product() {
+        // Shapes off the vectorizer's lane multiples, an all-zero output
+        // column (the scale = 1.0 branch) and zero inputs (the zero skip).
+        for (in_dim, out_dim, zero_col) in [(1, 1, None), (3, 5, Some(2)), (13, 7, Some(0))] {
+            let mut rng = Rng64::new(in_dim as u64);
+            let mut w = Matrix::zeros(in_dim, out_dim);
+            for i in 0..in_dim {
+                for j in (0..out_dim).filter(|&j| zero_col != Some(j)) {
+                    w[(i, j)] = rng.uniform(-2.0, 2.0);
+                }
+            }
+            let quant = QuantLinear::from_matrix(&w);
+            let dequantized = |i: usize, j: usize| {
+                f64::from(quant.weights[i * out_dim + j]) * f64::from(quant.scales[j])
+            };
+            for i in 0..in_dim {
+                for j in 0..out_dim {
+                    let step = f64::from(quant.scales[j]);
+                    assert!((dequantized(i, j) - w[(i, j)]).abs() <= step * 0.501);
+                }
+            }
+            if let Some(j) = zero_col {
+                assert_eq!(quant.scales[j], 1.0);
+            }
+
+            let n = 4;
+            let mut x: Vec<f32> = (0..n * in_dim)
+                .map(|_| rng.uniform(-3.0, 3.0) as f32)
+                .collect();
+            x[in_dim..2 * in_dim].fill(0.0);
+            x[0] = 0.0;
+            let got = quant.apply_rows(&x);
+            assert_eq!(got.len(), n * out_dim);
+            for (r, row) in x.chunks_exact(in_dim).enumerate() {
+                for j in 0..out_dim {
+                    let terms = row
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| f64::from(v) * dequantized(i, j));
+                    let want: f64 = terms.clone().sum();
+                    let magnitude: f64 = terms.map(f64::abs).sum();
+                    let tolerance = (in_dim as f64 + 2.0) * f64::from(f32::EPSILON) * magnitude;
+                    let got = f64::from(got[r * out_dim + j]);
+                    assert!(
+                        (got - want).abs() <= tolerance,
+                        "{in_dim}x{out_dim} row {r} col {j}: {got} vs {want}"
+                    );
+                    if r == 1 || zero_col == Some(j) {
+                        assert_eq!(got, 0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gelu_tanh_matches_f64_tanh() {
+        let steps = 240_000;
+        for k in 0..=steps {
+            let u = (-12.0 + 24.0 * k as f64 / steps as f64) as f32;
+            let error = (f64::from(tanh(u)) - f64::from(u).tanh()).abs();
+            assert!(error <= 5e-7, "tanh({u}) off by {error}");
+        }
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert!(tanh(f32::NAN).is_nan());
+    }
 
     fn tiny_task() -> (Vec<&'static str>, Vec<usize>) {
         let texts = vec![
