@@ -4,10 +4,11 @@
 //! linear layers, where the two weight formats differ, dominate the per-text
 //! cost), quantizes it with [`QuantizedScorer::from_transformer`], and
 //! compares the two `Scorer` implementations on single-text and batched
-//! scoring. Both run the same graph-free inference forward, padded tail
-//! dropped: f64 over the fitted weights, f32 over i8 weights. The measured
-//! ratio is therefore what the i8 kernels and weight format alone buy a
-//! serving deployment that registers the `-i8` sibling kind.
+//! scoring. Both run the same graph-free inference forward, which skips the
+//! padded tail and every last-layer row its pooling does not read: f64 over
+//! the fitted weights, f32 over i8 weights. The measured ratio is therefore
+//! what the i8 kernels and weight format alone buy a serving deployment that
+//! registers the `-i8` sibling kind.
 //!
 //! Headline numbers (mean per-text latency for both paths, both shapes, plus
 //! the batched speedup) are merged into the
@@ -15,11 +16,17 @@
 //! successive runs can be compared; `transformer_fit` owns the file's `fit`
 //! section. Correctness (100% label agreement on the seeded eval set, drift
 //! bound) is pinned by tests in `holistix::scorer` and the transformer
-//! proptests; this bench compares only speed.
+//! proptests. Before timing anything, the bench asserts two things at its
+//! own shape (hidden 64, 4 heads; the tests run hidden 8–16 with 2 heads):
+//! the f64 scorer's rows for the batch equal the training tape's
+//! `softmax(forward_logits)` bit for bit, and the i8 scorer agrees with
+//! them on every label.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use holistix::corpus::JsonValue;
+use holistix::linalg::{softmax, Rng64};
 use holistix::prelude::*;
+use holistix::tensor::Graph;
 use holistix::transformer::{FineTuneConfig, ModelConfig, ModelKind, Trainer};
 use holistix_bench::report::merge_section;
 use std::hint::black_box;
@@ -69,6 +76,39 @@ fn bench_quantized_inference(c: &mut Criterion) {
     let single = texts[0];
     let batch: Vec<&str> = texts.iter().take(BATCH).copied().collect();
 
+    // The f64 forward equals the tape bit for bit at this shape, and the i8
+    // scorer agrees with it on every label of the batch (the seeded eval-set
+    // gate lives in `holistix::scorer`'s tests; this guards the benched pair
+    // so a speedup over wrong answers can never be recorded).
+    let f64_rows = f64_scorer.probabilities(&batch);
+    let model = f64_scorer.trainer().model().expect("the trainer is fitted");
+    let tape_rows: Vec<Vec<f64>> = batch
+        .iter()
+        .map(|text| {
+            let mut graph = Graph::new();
+            let tokens = model.encode(text);
+            let logits = model.forward_logits(&mut graph, &tokens, false, &mut Rng64::new(0));
+            softmax(graph.value(logits).row(0))
+        })
+        .collect();
+    assert_eq!(
+        f64_rows, tape_rows,
+        "the f64 forward diverged from the tape on the bench corpus"
+    );
+    let agree = f64_rows
+        .iter()
+        .zip(i8_scorer.probabilities(&batch))
+        .all(|(a, b)| {
+            let argmax = |row: &[f64]| {
+                row.iter()
+                    .enumerate()
+                    .max_by(|x, y| x.1.total_cmp(y.1))
+                    .map(|(i, _)| i)
+            };
+            argmax(a) == argmax(&b)
+        });
+    assert!(agree, "i8 labels diverged from f64 on the bench corpus");
+
     // Headline table: mean per-text latency, f64 vs i8, single vs batched.
     let single_f64 = mean_time(REPS, || {
         black_box(f64_scorer.probabilities_one(black_box(single)));
@@ -84,24 +124,6 @@ fn bench_quantized_inference(c: &mut Criterion) {
     }) / BATCH as u32;
     let single_speedup = single_f64.as_secs_f64() / single_i8.as_secs_f64();
     let batched_speedup = batched_f64.as_secs_f64() / batched_i8.as_secs_f64();
-
-    // Both scorers agree on every label of the training slice (the seeded
-    // eval-set gate lives in `holistix::scorer`'s tests; this guards the
-    // benched pair so a speedup over wrong answers can never be recorded).
-    let agree = f64_scorer
-        .probabilities(&batch)
-        .iter()
-        .zip(i8_scorer.probabilities(&batch))
-        .all(|(a, b)| {
-            let argmax = |row: &[f64]| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|x, y| x.1.total_cmp(y.1))
-                    .map(|(i, _)| i)
-            };
-            argmax(a) == argmax(&b)
-        });
-    assert!(agree, "i8 labels diverged from f64 on the bench corpus");
 
     println!("quantized_inference: MentalBERT (hidden 64 x 2 layers), {TRAIN_POSTS}-post corpus");
     println!(

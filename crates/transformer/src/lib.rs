@@ -47,10 +47,16 @@
 //! `FittedBaseline::Transformer`, both through
 //! [`Trainer::predict_proba_batch`](trainer::Trainer::predict_proba_batch) —
 //! and in f32 over i8 weights for [`QuantizedTransformer`](quant::QuantizedTransformer).
-//! It scores one sequence at a time and drops the padded tail, which changes
-//! no bit and cuts the quadratic attention cost to the real token count. The
-//! f64 forward equals the softmax of `forward_logits` bit for bit
-//! (property-tested for every architecture variant).
+//! It scores one sequence at a time and skips two sets of rows the tape
+//! computes: the padded tail, which cuts the quadratic attention cost to the
+//! real token count, and every row of the last layer that pooling does not
+//! read, so for CLS and last-token pooling that layer runs its queries,
+//! attention, feed-forward block and layer norms for one row instead of `n`
+//! (keys and values still read all `n`). Neither changes a bit, because
+//! every per-row op reads only its own row and the shared keys and values.
+//! The f64 forward equals the softmax of `forward_logits` bit for bit
+//! (property-tested for every architecture variant), and each layer's rows
+//! are tested to come out the same whichever rows are computed with them.
 //!
 //! **Sparse embedding gradients** (on by default). A token sequence touches at most
 //! `max_len` rows of the `vocab × hidden` embedding tables, but the naive tape

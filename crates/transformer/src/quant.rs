@@ -20,13 +20,13 @@
 //! error into the normalisation statistics.
 //!
 //! The i8 model runs the same graph-free forward as the f64 one
-//! ([`crate::forward`], padded-tail skip included); this module supplies its
-//! weight types and its f32 arithmetic. Its matrices keep the f64 graph's
-//! `d_in × d_out` layout, so every product runs the same i-k-j loop
-//! (`matmul_accumulate`) in f32 over the i8 matrix widened once per call:
-//! what i8 buys is a weight store 8× smaller than f64's, on a loop that
-//! vectorizes twice as many f32 lanes per instruction, and a GELU whose tanh
-//! costs one `expf`.
+//! ([`crate::forward`]), so it too skips the padded tail and the last
+//! layer's unpooled rows; this module supplies its weight types and its f32
+//! arithmetic. Its matrices keep the f64 graph's `d_in × d_out` layout, so
+//! every product runs the same i-k-j loop (`matmul_accumulate`) in f32 over
+//! the i8 matrix widened once per call: what i8 buys is a weight store 8×
+//! smaller than f64's, on a loop that vectorizes twice as many f32 lanes per
+//! instruction, and a GELU whose tanh costs one `expf`.
 //!
 //! The end-to-end probability drift versus the f64 path is bounded by
 //! [`MAX_PROBABILITY_DRIFT`] (asserted in tests and in the `holistix-core`
@@ -53,7 +53,7 @@ pub const MAX_PROBABILITY_DRIFT: f64 = 0.05;
 /// `W[i][j] / scales[j]` row-major in that same shape, one absmax/127 scale
 /// per output column `j`.
 #[derive(Debug, Clone)]
-struct QuantLinear {
+pub(crate) struct QuantLinear {
     in_dim: usize,
     weights: Vec<i8>,
     scales: Vec<f32>,
@@ -118,7 +118,7 @@ impl Linear<f32> for QuantLinear {
 /// An embedding table quantized to per-row symmetric i8 (one scale per vocabulary
 /// row — the natural unit, since a lookup touches exactly one row).
 #[derive(Debug, Clone)]
-struct QuantEmbedding {
+pub(crate) struct QuantEmbedding {
     cols: usize,
     weights: Vec<i8>,
     scales: Vec<f32>,
@@ -219,7 +219,7 @@ fn layer_norm(ln: &LayerNorm<'_, f64>) -> LayerNorm<'static, f32> {
     }
 }
 
-fn quantize(w: &StoreWeights<'_>) -> QuantWeights {
+pub(crate) fn quantize(w: &StoreWeights<'_>) -> QuantWeights {
     let layers = w
         .layers
         .iter()

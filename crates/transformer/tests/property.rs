@@ -162,12 +162,13 @@ proptest! {
     }
 }
 
-/// The four architecture variants the forward branches on.
-const VARIANTS: [ModelKind; 4] = [
-    ModelKind::Bert,   // CLS pooling, bidirectional attention
-    ModelKind::FlanT5, // mean pooling, bottleneck head
-    ModelKind::Gpt2,   // causal attention, last-token pooling
-    ModelKind::Xlnet,  // relative position bias
+/// The architecture variants the forward branches on.
+const VARIANTS: [ModelKind; 5] = [
+    ModelKind::Bert,       // CLS pooling, bidirectional attention
+    ModelKind::DistilBert, // one layer: its first layer is the pooled one
+    ModelKind::FlanT5,     // mean pooling, bottleneck head
+    ModelKind::Gpt2,       // causal attention, last-token pooling
+    ModelKind::Xlnet,      // relative position bias
 ];
 
 /// A word the shared tokenizer keeps as one piece.
@@ -243,9 +244,10 @@ fn forward_matches_tape_at_the_length_edges() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The graph-free forward, tail skip included, equals
-    /// `softmax(forward_logits(..))` bit for bit on random texts, from empty
-    /// to truncated, for every architecture variant.
+    /// The graph-free forward, which skips the padded tail and the last
+    /// layer's unpooled rows, equals `softmax(forward_logits(..))` bit for
+    /// bit on random texts, from empty to truncated, for every architecture
+    /// variant.
     #[test]
     fn forward_matches_tape_on_random_texts(
         words in proptest::collection::vec("[a-z]{1,7}", 0..14),
