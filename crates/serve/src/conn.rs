@@ -27,8 +27,9 @@
 //! are scheduled once at accept and the wheel is never touched on activity
 //! (no per-request reschedule cost). When an entry fires, the poller
 //! re-checks the connection's `last_activity` — a busy connection is simply
-//! rescheduled for its remaining lifetime, and only a genuinely idle one is
-//! evicted. Stale entries (the slot was reused by a newer connection) are
+//! rescheduled for its remaining lifetime, and one that moved no byte for
+//! the timeout is evicted, unless it has a request in flight and no output
+//! stuck. Stale entries (the slot was reused by a newer connection) are
 //! filtered by generation number.
 //!
 //! lint: no_panic — connection state machines run on poller threads: a panic
@@ -137,7 +138,7 @@ impl Connection {
     }
 
     /// Requests dispatched whose responses have not yet been serialized.
-    fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         (self.next_seq - self.next_write_seq) as usize
     }
 
@@ -152,12 +153,6 @@ impl Connection {
     /// Whether unsent response bytes are waiting on socket writability.
     pub(crate) fn wants_write(&self) -> bool {
         self.out_pos < self.out.len()
-    }
-
-    /// No request in progress in either direction: a timeout or EOF here is
-    /// the clean end of a keep-alive session.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.parser.is_idle() && self.outstanding() == 0 && !self.wants_write()
     }
 
     /// The session is over and fully flushed: the poller should drop the

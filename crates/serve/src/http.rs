@@ -15,11 +15,13 @@
 //! socket delivers and yields complete requests (a property test pins that
 //! any split of a byte stream parses to the same requests and the same
 //! error). [`write_response`] is generic over `Write`, so it unit-tests
-//! against in-memory buffers. Two clients match the server:
-//! [`http_request`], the one-shot `Connection: close` helper, and
-//! [`HttpClient`], a blocking keep-alive client that pipelines any number of
-//! request/response round-trips over one TCP connection (what the
-//! `serve_throughput` bench and the CI smoke drive).
+//! against in-memory buffers. [`HttpClient`] is the one client: a blocking
+//! keep-alive connection that carries any number of request/response
+//! round-trips. The tests, the CI smoke and the `serve_throughput` bench
+//! drive the server through it, and its [`send_raw`](HttpClient::send_raw)
+//! and [`read_response`](HttpClient::read_response) let the connection tests
+//! write arbitrary bytes (pipelined, fragmented or malformed requests) and
+//! still read the answers with the same response parser.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -158,9 +160,12 @@ struct PendingHead {
 /// [`Request`] exactly when one is complete, `None` when more bytes are
 /// needed, or an error on a protocol violation (head over
 /// [`MAX_HEAD_BYTES`], a request line without a path, bad or oversized
-/// `Content-Length`, non-UTF-8 head or body). A request is its request line,
-/// its headers (`Content-Length`, `Connection` and `Accept` are
-/// interpreted), then exactly `Content-Length` body bytes.
+/// `Content-Length`, framing it cannot delimit, non-UTF-8 head or body). A
+/// request is its request line, its headers (`Content-Length`, `Connection`
+/// and `Accept` are interpreted), then exactly `Content-Length` body bytes.
+/// Only `Content-Length` frames a body, so a second `Content-Length` with a
+/// different value (RFC 9112 §6.3) and any `Transfer-Encoding` are errors:
+/// either leaves the body's end unknown.
 ///
 /// The parser owns a growable buffer, so a request split across any number of
 /// reads — down to one byte at a time — parses identically to a single-shot
@@ -270,7 +275,7 @@ impl RequestParser {
                 .next()
                 .ok_or_else(|| invalid("request line missing path"))?,
         );
-        let mut content_length = 0usize;
+        let mut content_length: Option<usize> = None;
         let mut close = false;
         let mut accept = String::new();
         for line in lines {
@@ -281,10 +286,16 @@ impl RequestParser {
             if let Some((name, value)) = header.split_once(':') {
                 let name = name.trim();
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
+                    let length = value
                         .trim()
                         .parse()
                         .map_err(|_| invalid(format!("bad Content-Length {value:?}")))?;
+                    if content_length.is_some_and(|seen| seen != length) {
+                        return Err(invalid("conflicting Content-Length headers"));
+                    }
+                    content_length = Some(length);
+                } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                    return Err(invalid("Transfer-Encoding is not supported"));
                 } else if name.eq_ignore_ascii_case("connection") {
                     close = value.trim().eq_ignore_ascii_case("close");
                 } else if name.eq_ignore_ascii_case("accept") {
@@ -292,6 +303,7 @@ impl RequestParser {
                 }
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > MAX_BODY_BYTES {
             return Err(invalid(format!(
                 "body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte limit"
@@ -357,22 +369,20 @@ pub fn write_response<W: Write>(
 }
 
 /// Write one request to `writer`. The client half of [`write_response`].
-/// `extra_headers` are emitted verbatim as `Name: value` lines (e.g. an
-/// `Accept` for `/metrics` content negotiation). The whole request goes out
-/// in one `write_all`: sent piecewise, the tail of a request waits behind
-/// Nagle's algorithm for the server's delayed ACK (about 40 ms on Linux).
+/// `extra_headers` are emitted verbatim as `Name: value` lines: an `Accept`
+/// for `/metrics` content negotiation, or `Connection: close` to ask the
+/// server to close after answering (without it the connection persists, the
+/// HTTP/1.1 default). The whole request is one `write_all`.
 fn write_request<W: Write>(
     writer: &mut W,
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
-    close: bool,
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
-    let connection = if close { "close" } else { "keep-alive" };
     let mut request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         body.len()
     );
     for (name, value) in extra_headers {
@@ -380,8 +390,7 @@ fn write_request<W: Write>(
     }
     request.push_str("\r\n");
     request.push_str(body);
-    writer.write_all(request.as_bytes())?;
-    writer.flush()
+    writer.write_all(request.as_bytes())
 }
 
 /// A client-side parsed response: status, body, every header as received,
@@ -449,41 +458,16 @@ fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
     })
 }
 
-/// One-shot blocking HTTP client: connect, send one `Connection: close`
-/// request, read the full response. Returns `(status, body)`. Used by the
-/// integration tests and the `serve_demo` smoke; sessions that issue several
-/// requests should hold an [`HttpClient`] instead and reuse the connection.
-pub fn http_request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> io::Result<(u16, String)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_request(
-        &mut (&stream),
-        addr,
-        method,
-        path,
-        body.unwrap_or(""),
-        true,
-        &[],
-    )?;
-    let mut reader = BufReader::new(&stream);
-    let response = read_response(&mut reader)?;
-    Ok((response.status, response.body))
-}
-
-/// What [`HttpClient::request_full`] returns: `(status, body, headers)`.
-/// Header names keep their wire casing; match them case-insensitively.
+/// What [`HttpClient::request_full`] and [`HttpClient::read_response`]
+/// return: `(status, body, headers)`. Header names keep their wire casing;
+/// match them case-insensitively.
 pub type FullResponse = (u16, String, Vec<(String, String)>);
 
 /// A blocking keep-alive HTTP client: one TCP connection, any number of
-/// request/response round-trips. This is what makes connection reuse
-/// measurable — the `serve_throughput` bench and the CI smoke issue all their
-/// requests through one of these and read the server's
-/// `keepalive_reuses_total` counter.
+/// request/response round-trips, with Nagle's algorithm off. The tests, the
+/// CI smoke and the `serve_throughput` bench drive the server through it;
+/// holding one across requests is what makes the server's
+/// `keepalive_reuses_total` counter move.
 pub struct HttpClient {
     addr: SocketAddr,
     stream: TcpStream,
@@ -521,8 +505,9 @@ impl HttpClient {
 
     /// Like [`request`](Self::request), but with caller-supplied request
     /// headers and the response headers returned as [`FullResponse`]. This is
-    /// how the observability tests read `X-Trace-Id` and ask `/metrics` for
-    /// Prometheus via `Accept`.
+    /// how the observability tests read `X-Trace-Id`, how `/metrics` is asked
+    /// for Prometheus via `Accept`, and how a caller sends
+    /// `Connection: close`.
     pub fn request_full(
         &mut self,
         method: &str,
@@ -530,25 +515,35 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> io::Result<FullResponse> {
+        let mut request = Vec::new();
+        let body = body.unwrap_or("");
+        write_request(&mut request, self.addr, method, path, body, extra_headers)?;
+        self.send_raw(&request)?;
+        self.read_response()
+    }
+
+    /// Write `bytes` to the connection in one `write_all`, whatever they
+    /// hold: the connection tests send pipelined, fragmented and malformed
+    /// requests this way and read each answer with
+    /// [`read_response`](Self::read_response). Sent piecewise, the tail of a
+    /// request would wait behind Nagle's algorithm for the server's delayed
+    /// ACK (about 40 ms on Linux). Fails with `NotConnected` once a response
+    /// has announced that the server closes the connection.
+    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         if self.closed {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
                 "server closed this keep-alive connection",
             ));
         }
-        write_request(
-            &mut self.stream,
-            self.addr,
-            method,
-            path,
-            body.unwrap_or(""),
-            false,
-            extra_headers,
-        )?;
+        self.stream.write_all(bytes)
+    }
+
+    /// Read the next response off the connection. A response that announces
+    /// `Connection: close` (or is framed by EOF) marks the connection closed.
+    pub fn read_response(&mut self) -> io::Result<FullResponse> {
         let response = read_response(&mut self.reader)?;
-        if response.server_closes {
-            self.closed = true;
-        }
+        self.closed |= response.server_closes;
         Ok((response.status, response.body, response.headers))
     }
 }
@@ -632,6 +627,18 @@ mod tests {
         assert!(parse_one(&huge).is_err());
         let bad_length = "POST /p HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
         assert!(parse_one(bad_length).is_err());
+        // Framing the parser cannot delimit: a second, differing
+        // Content-Length, and any Transfer-Encoding. A repeated equal length
+        // is harmless.
+        let conflicting = "POST /p HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\nhi";
+        assert!(parse_one(conflicting).is_err());
+        let chunked = "POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n";
+        assert!(parse_one(chunked).is_err());
+        let identity =
+            "POST /p HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding: identity\r\n\r\nhi";
+        assert!(parse_one(identity).is_err());
+        let repeated = "POST /p HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi";
+        assert_eq!(parse_one(repeated).unwrap().body, "hi");
         // A truncated body, or EOF mid-headers, leaves a partial request
         // buffered: EOF there is a peer abort, unlike EOF before the request
         // line.
@@ -817,17 +824,22 @@ mod tests {
         let mut writer = CountingWriter::default();
         let body = "{\"text\":\"hello\"}";
         let accept = [("Accept", "text/plain")];
-        write_request(&mut writer, addr, "POST", "/predict", body, false, &accept).unwrap();
+        write_request(&mut writer, addr, "POST", "/predict", body, &accept).unwrap();
         assert_eq!(writer.writes, 1);
-        write_request(&mut writer, addr, "GET", "/metrics", "", true, &[]).unwrap();
+        let close = [("Connection", "close")];
+        write_request(&mut writer, addr, "GET", "/metrics", "", &close).unwrap();
         assert_eq!(writer.writes, 2);
+        // No `Connection` header by default; the caller's, once, as given.
+        let text = String::from_utf8(writer.bytes.clone()).unwrap();
+        assert_eq!(text.to_ascii_lowercase().matches("connection").count(), 1);
+        assert!(text.ends_with("\r\nConnection: close\r\n\r\n"), "{text:?}");
         // The bytes are the two requests, back to back.
         let mut parser = RequestParser::new();
         parser.feed(&writer.bytes);
         let first = parser.poll_request().unwrap().unwrap();
         assert_eq!(
-            (first.path.as_str(), first.body.as_str()),
-            ("/predict", body)
+            (first.path.as_str(), first.body.as_str(), first.close),
+            ("/predict", body, false)
         );
         assert_eq!(first.accept, "text/plain");
         let second = parser.poll_request().unwrap().unwrap();

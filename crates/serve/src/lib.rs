@@ -11,7 +11,7 @@
 //! ## Architecture
 //!
 //! Since the connection-multiplexer redesign, no thread count scales with the
-//! number of connected clients: P pollers + 1 admin thread + one batch queue
+//! number of connected clients: 2 pollers + 1 admin thread + one batch queue
 //! per scorer serve any number of keep-alive connections. A `/predict`
 //! crosses two threads: its poller and its kind's queue.
 //!
@@ -19,7 +19,7 @@
 //!                  ┌────────────────────────────────── server thread ──────┐
 //!  clients ───────►│ nonblocking listener ─ accepted by any poller         │
 //!  (keep-alive,    │                                                       │
-//!   pipelined)     │  poller threads (P, fixed) — poll(2) readiness loop   │
+//!   pipelined)     │  poller threads (2, fixed) — poll(2) readiness loop   │
 //!                  │  │ per connection (owned by one poller):              │
 //!                  │  │   incremental RequestParser ── reorder buffer ──►  │
 //!                  │  │   seq-numbered routing         in-order responses, │
@@ -85,13 +85,14 @@
 //!   queue cannot delay a classical batch, and batched scoring is bit-for-bit
 //!   identical to text-at-a-time scoring (integration tests pin both).
 //! * **[`http`]** — the minimal HTTP/1.1 subset with keep-alive:
-//!   `Content-Length` framing on both sides, `Connection: close` honored,
+//!   `Content-Length` framing on both sides (a conflicting `Content-Length`
+//!   or any `Transfer-Encoding` is a 400), `Connection: close` honored,
 //!   per-connection request cap and idle timeout
 //!   ([`KeepAliveConfig`]). [`RequestParser`](http::RequestParser) is the
 //!   incremental server-side parser the pollers feed byte fragments into;
-//!   [`http_request`] is the one-shot blocking client; [`HttpClient`] holds
-//!   one connection open across any number of requests (what the
-//!   `serve_throughput` bench and the CI smoke drive).
+//!   [`HttpClient`] is the one client: it holds a connection open across any
+//!   number of requests, and sends raw bytes for the connection tests. The
+//!   tests, the `serve_throughput` bench and the CI smoke drive it.
 //! * **[`metrics`]** — request, connection and admission counters, per-kind
 //!   queue sections (depth, batch sizes, queue-wait and scoring times), the
 //!   thread plan next to the live OS thread count, and end-to-end latency.
@@ -259,7 +260,7 @@ pub mod server;
 
 pub use admission::{Admission, AdmissionConfig, RateLimitConfig, TokenBucket};
 pub use batcher::{BatchConfig, PredictError};
-pub use http::{http_request, HttpClient, Request, Response};
+pub use http::{HttpClient, Request, Response};
 pub use metrics::{
     build_info, os_thread_count, AdmissionMetrics, ConnectionMetrics, Endpoint, QueueMetrics,
     ServeMetrics, ShedReason,

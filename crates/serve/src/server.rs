@@ -1,10 +1,10 @@
 //! The HTTP server: a nonblocking connection multiplexer in front of the
 //! per-kind batch queues.
 //!
-//! Thread model — every count here is configuration, none scale with the
-//! number of connected clients:
+//! Thread model — no count here scales with the number of connected
+//! clients:
 //!
-//! * [`ServeConfig::pollers`] **poller threads** own the connections. Each
+//! * **two poller threads** (`POLLERS`) own the connections. Each
 //!   runs a readiness loop over `poll(2)` ([`crate::poller`]): it accepts new
 //!   sockets (the nonblocking listener is polled by every poller; the kernel
 //!   breaks the tie), reads whatever bytes are available into each
@@ -27,9 +27,9 @@
 //! Connections are pipelined: a poller keeps parsing (and routing) request
 //! `N+1` while `N` is still being scored, and the per-connection reorder
 //! buffer guarantees responses go out in request order. Idle connections are
-//! evicted by a timer wheel, never by a blocking read timeout; a client that
-//! stops draining its responses is evicted by the same wheel once no bytes
-//! have moved for the idle timeout.
+//! evicted by a timer wheel, never by a blocking read timeout. The same wheel
+//! evicts a client that stops draining its responses, and one that stalls
+//! partway through a request, once no bytes have moved for the idle timeout.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] flips the running flag and wakes
 //! every poller. Pollers drop their connections and exit, dropping their
@@ -75,6 +75,11 @@ pub const MAX_TEXTS_PER_REQUEST: usize = 256;
 /// of distinct words.
 pub const MAX_EXPLAIN_FEATURES: usize = 512;
 
+/// Poller threads. Each owns a share of the connections and multiplexes them
+/// with readiness polling; two is plenty below tens of thousands of clients,
+/// since pollers do no model work.
+const POLLERS: usize = 2;
+
 /// How long a poller sleeps when no timer is pending. Purely a liveness
 /// backstop — wakeups for I/O, completions and shutdown all interrupt it.
 const FALLBACK_POLL: Duration = Duration::from_millis(500);
@@ -118,12 +123,8 @@ impl Default for KeepAliveConfig {
 }
 
 /// Server configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
-    /// Poller threads. Each owns a share of the connections and multiplexes
-    /// them with readiness polling; two is plenty below tens of thousands of
-    /// clients, since pollers do no model work.
-    pub pollers: usize,
     /// Micro-batching knobs, shared by every registered scorer's queue.
     pub batch: BatchConfig,
     /// Connection keep-alive policy.
@@ -137,18 +138,6 @@ pub struct ServeConfig {
     /// `/explain` shedding and per-client rate limiting. The defaults are
     /// permissive (see [`AdmissionConfig`]).
     pub admission: AdmissionConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            pollers: 2,
-            batch: BatchConfig::default(),
-            keep_alive: KeepAliveConfig::default(),
-            lime: LimeConfig::default(),
-            admission: AdmissionConfig::default(),
-        }
-    }
 }
 
 /// A running server. Dropping the handle shuts the server down.
@@ -213,7 +202,7 @@ pub fn serve(
     metrics.record_fit(registry.fit_stats());
     let mut wakers = Vec::new();
     let mut readers = Vec::new();
-    for _ in 0..config.pollers.max(1) {
+    for _ in 0..POLLERS {
         let (waker, reader) = waker_pair()?;
         wakers.push(waker);
         readers.push(reader);
@@ -931,8 +920,9 @@ impl<'a> Poller<'a> {
         }
     }
 
-    /// Fire due timers with lazy revalidation: evict only connections that
-    /// are genuinely idle (or wedged mid-write) past the timeout; reschedule
+    /// Fire due timers with lazy revalidation: evict connections that moved
+    /// no byte for the timeout with no request in flight (idle, or stalled
+    /// partway through a request) or with output stuck; reschedule
     /// everything else for its remaining lifetime.
     fn expire_timers(&mut self, now: Instant, idle_timeout: Duration) {
         for (slot, generation) in self.wheel.expire(now) {
@@ -943,11 +933,13 @@ impl<'a> Poller<'a> {
                 continue; // the slot was reused; the old connection is gone
             }
             let idle_for = now.duration_since(conn.last_activity);
+            // Whatever the parser holds: a client that sends part of a
+            // request and goes silent holds its slot like an idle one.
             // `wants_write` past the timeout means the client stopped
-            // draining its responses — evict it just like an idle one. A
-            // connection merely waiting on a slow model batch has in-flight
-            // work and no stuck output, so it is rescheduled, not evicted.
-            if idle_for >= idle_timeout && (conn.is_idle() || conn.wants_write()) {
+            // draining its responses. A connection merely waiting on a slow
+            // model batch has in-flight work and no stuck output, so it is
+            // rescheduled, not evicted.
+            if idle_for >= idle_timeout && (conn.outstanding() == 0 || conn.wants_write()) {
                 self.state.metrics.connections().record_idle_eviction();
                 self.close(slot);
             } else {
@@ -970,7 +962,7 @@ impl<'a> Poller<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{http_request, HttpClient};
+    use crate::http::HttpClient;
     use crate::registry::RegistryConfig;
     use holistix::{BaselineKind, SpeedProfile};
 
@@ -995,21 +987,21 @@ mod tests {
     #[test]
     fn healthz_predict_explain_and_metrics_round_trip() {
         let server = tiny_server();
-        let addr = server.addr();
+        let mut client = HttpClient::connect(server.addr()).expect("connect");
 
-        let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+        let (status, body) = client.request("GET", "/healthz", None).unwrap();
         assert_eq!(status, 200, "{body}");
         let health = JsonValue::parse(&body).unwrap();
         assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
         assert_eq!(health.get("default_model").unwrap().as_str(), Some("LR"));
 
-        let (status, body) = http_request(
-            addr,
-            "POST",
-            "/predict",
-            Some(r#"{"texts":["i feel so alone lately","my job exhausts me"]}"#),
-        )
-        .unwrap();
+        let (status, body) = client
+            .request(
+                "POST",
+                "/predict",
+                Some(r#"{"texts":["i feel so alone lately","my job exhausts me"]}"#),
+            )
+            .unwrap();
         assert_eq!(status, 200, "{body}");
         let predict = JsonValue::parse(&body).unwrap();
         let results = predict.get("results").unwrap().as_array().unwrap();
@@ -1022,18 +1014,18 @@ mod tests {
             assert!(result.get("label").unwrap().as_str().is_some());
         }
 
-        let (status, body) = http_request(
-            addr,
-            "POST",
-            "/explain",
-            Some(r#"{"text":"i feel alone and isolated every day","top_k":3}"#),
-        )
-        .unwrap();
+        let (status, body) = client
+            .request(
+                "POST",
+                "/explain",
+                Some(r#"{"text":"i feel alone and isolated every day","top_k":3}"#),
+            )
+            .unwrap();
         assert_eq!(status, 200, "{body}");
         let explain = JsonValue::parse(&body).unwrap();
         assert!(explain.get("tokens").unwrap().as_array().unwrap().len() <= 3);
 
-        let (status, body) = http_request(addr, "GET", "/metrics", None).unwrap();
+        let (status, body) = client.request("GET", "/metrics", None).unwrap();
         assert_eq!(status, 200);
         let metrics = JsonValue::parse(&body).unwrap();
         let requests = metrics.get("requests").unwrap();
@@ -1088,10 +1080,29 @@ mod tests {
         let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
         let addr = server.addr();
 
-        // The one-shot client sends Connection: close; the server must not
-        // hold the socket open afterwards (http_request reads to completion).
-        let (status, _) = http_request(addr, "GET", "/healthz", None).unwrap();
+        // A client that sends Connection: close gets a response announcing
+        // the close, cannot send again, and the server lets the socket go.
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let close = [("Connection", "close")];
+        let (status, _, headers) = client
+            .request_full("GET", "/healthz", None, &close)
+            .unwrap();
         assert_eq!(status, 200);
+        let connection = headers
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case("connection"));
+        assert_eq!(connection.map(|(_, value)| value.as_str()), Some("close"));
+        let err = client.request("GET", "/healthz", None).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotConnected, "{err}");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.metrics().connections().open() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the closed connection stayed open"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(client);
 
         // A keep-alive client is cut off after max_requests: the 2nd response
         // announces Connection: close, so the 3rd request fails client-side.
@@ -1139,35 +1150,36 @@ mod tests {
     #[test]
     fn bad_requests_get_4xx_json_errors() {
         let server = tiny_server();
-        let addr = server.addr();
+        let mut client = HttpClient::connect(server.addr()).expect("connect");
 
-        let (status, body) = http_request(addr, "POST", "/predict", Some("not json")).unwrap();
+        let (status, body) = client
+            .request("POST", "/predict", Some("not json"))
+            .unwrap();
         assert_eq!(status, 400);
         assert!(JsonValue::parse(&body).unwrap().get("error").is_some());
 
-        let (status, _) = http_request(addr, "POST", "/predict", Some("{\"texts\":[]}")).unwrap();
+        let (status, _) = client
+            .request("POST", "/predict", Some("{\"texts\":[]}"))
+            .unwrap();
         assert_eq!(status, 400);
 
-        let (status, body) = http_request(
-            addr,
-            "POST",
-            "/predict",
-            Some(r#"{"texts":["x"],"model":"resnet"}"#),
-        )
-        .unwrap();
+        let unknown_model = r#"{"texts":["x"],"model":"resnet"}"#;
+        let (status, body) = client
+            .request("POST", "/predict", Some(unknown_model))
+            .unwrap();
         assert_eq!(status, 400);
         assert!(body.contains("unknown model"));
 
-        let (status, _) = http_request(addr, "GET", "/nowhere", None).unwrap();
+        let (status, _) = client.request("GET", "/nowhere", None).unwrap();
         assert_eq!(status, 404);
 
-        let (status, _) = http_request(addr, "POST", "/healthz", Some("{}")).unwrap();
+        let (status, _) = client.request("POST", "/healthz", Some("{}")).unwrap();
         assert_eq!(status, 405);
 
         // A text with more distinct words than LIME can affordably explain.
         let huge: Vec<String> = (0..600).map(|i| format!("word{i}")).collect();
         let body = format!("{{\"text\":\"{}\"}}", huge.join(" "));
-        let (status, body) = http_request(addr, "POST", "/explain", Some(&body)).unwrap();
+        let (status, body) = client.request("POST", "/explain", Some(&body)).unwrap();
         assert_eq!(status, 413, "{body}");
         assert!(body.contains("distinct words"));
 
@@ -1186,21 +1198,24 @@ mod tests {
         use holistix_corpus::HolistixCorpus;
         let server = tiny_server();
         let addr = server.addr();
+        let mut client = HttpClient::connect(addr).expect("connect");
 
         // Malformed and empty corpora are rejected on the admin thread.
-        let (status, body) = http_request(addr, "POST", "/reload", Some("not jsonl")).unwrap();
+        let (status, body) = client
+            .request("POST", "/reload", Some("not jsonl"))
+            .unwrap();
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("invalid JSONL"));
-        let (status, body) = http_request(addr, "POST", "/reload", Some("\n\n")).unwrap();
+        let (status, body) = client.request("POST", "/reload", Some("\n\n")).unwrap();
         assert_eq!(status, 400, "{body}");
-        let (status, _) = http_request(addr, "GET", "/reload", None).unwrap();
+        let (status, _) = client.request("GET", "/reload", None).unwrap();
         assert_eq!(status, 405);
 
         // A valid corpus is accepted and eventually swapped in.
         let corpus = HolistixCorpus::generate_small(60, 17);
         let n_posts = corpus.posts.len() as f64;
         let jsonl = holistix_corpus::io::to_jsonl(&corpus.posts);
-        let (status, body) = http_request(addr, "POST", "/reload", Some(&jsonl)).unwrap();
+        let (status, body) = client.request("POST", "/reload", Some(&jsonl)).unwrap();
         assert_eq!(status, 202, "{body}");
         let accepted = JsonValue::parse(&body).unwrap();
         assert_eq!(accepted.get("posts").unwrap().as_f64(), Some(n_posts));
@@ -1210,7 +1225,10 @@ mod tests {
             assert!(Instant::now() < deadline, "reload did not complete");
             std::thread::sleep(Duration::from_millis(20));
         }
-        let (status, body) = http_request(addr, "GET", "/metrics", None).unwrap();
+        // A fresh connection: the held one may have sat idle through the
+        // fit past the idle timeout.
+        let mut client = HttpClient::connect(addr).expect("reconnect");
+        let (status, body) = client.request("GET", "/metrics", None).unwrap();
         assert_eq!(status, 200);
         let metrics = JsonValue::parse(&body).unwrap();
         let registry = metrics.get("registry").unwrap();
@@ -1219,8 +1237,9 @@ mod tests {
         assert!(registry.get("last_fit_us").unwrap().as_f64().unwrap() > 0.0);
 
         // The swapped registry still answers.
-        let (status, body) =
-            http_request(addr, "POST", "/predict", Some(r#"{"text":"i feel alone"}"#)).unwrap();
+        let (status, body) = client
+            .request("POST", "/predict", Some(r#"{"text":"i feel alone"}"#))
+            .unwrap();
         assert_eq!(status, 200, "{body}");
         server.shutdown();
     }
@@ -1229,8 +1248,9 @@ mod tests {
     fn shutdown_joins_cleanly_and_port_is_released() {
         let server = tiny_server();
         let addr = server.addr();
-        let (status, _) = http_request(addr, "GET", "/healthz", None).unwrap();
-        assert_eq!(status, 200);
+        let mut client = HttpClient::connect(addr).expect("connect");
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+        drop(client);
         server.shutdown();
         // The listener is gone: either the connection is refused or the probe
         // request fails; a fresh bind to the same port must succeed.

@@ -220,7 +220,8 @@ fn parse_in_pieces(stream: &[u8], cuts: &[usize]) -> (Vec<Parsed>, Option<String
 /// One request's bytes: well-formed requests with and without bodies (CRLF
 /// and bare-LF framing), and the malformed kinds the parser must reject or
 /// wait out — a non-numeric `Content-Length`, a body shorter than its
-/// length, an oversized head, and raw payload bytes.
+/// length, an oversized head, two differing `Content-Length`s, a chunked
+/// body, and raw payload bytes.
 fn request_bytes(template: usize, payload: &str) -> Vec<u8> {
     let n = payload.len();
     match template {
@@ -233,6 +234,13 @@ fn request_bytes(template: usize, payload: &str) -> Vec<u8> {
         4 => format!("GET /{payload} HTTP/1.1\r\nX-Note: {payload}\r\n\r\n"),
         5 => format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n{payload}", n + 3),
         6 => format!("GET / HTTP/1.1\r\nX-Junk: {}\r\n\r\n", "A".repeat(17_000)),
+        7 => format!(
+            "POST /p HTTP/1.1\r\nContent-Length: {n}\r\nContent-Length: {}\r\n\r\n{payload}",
+            n + 1
+        ),
+        8 => format!(
+            "POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{n:x}\r\n{payload}\r\n0\r\n\r\n"
+        ),
         _ => payload.to_string(),
     }
     .into_bytes()
@@ -276,7 +284,7 @@ proptest! {
     /// requests and the same error.
     #[test]
     fn request_parser_is_fragmentation_invariant(
-        requests in collection::vec((0usize..8, ".{0,24}"), 1..6),
+        requests in collection::vec((0usize..10, ".{0,24}"), 1..6),
         cuts in collection::vec(0.0f64..1.0, 0..12),
     ) {
         let stream = stream_of(&requests);
@@ -293,7 +301,7 @@ proptest! {
     #[test]
     fn request_parser_never_panics_on_random_or_mutated_bytes(
         noise in collection::vec(0u32..256, 0..300),
-        requests in collection::vec((0usize..8, ".{0,24}"), 1..4),
+        requests in collection::vec((0usize..10, ".{0,24}"), 1..4),
         edits in collection::vec((0usize..3, 0usize..20_000, collection::vec(0u32..256, 1..8)), 1..5),
         cuts in collection::vec(0usize..20_000, 0..8),
     ) {

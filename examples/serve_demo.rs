@@ -14,8 +14,8 @@
 
 use holistix::prelude::*;
 use holistix_serve::{
-    http_request, serve, validate_exposition, AdmissionConfig, BatchConfig, HttpClient,
-    ModelRegistry, RateLimitConfig, RegistryConfig, ServeConfig,
+    serve, validate_exposition, AdmissionConfig, BatchConfig, HttpClient, ModelRegistry,
+    RateLimitConfig, RegistryConfig, ServeConfig,
 };
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -85,8 +85,11 @@ fn lr_texts_scored(addr: SocketAddr) -> (usize, usize) {
     (json as usize, prom as usize)
 }
 
+/// One request on a connection of its own: a connection held across the
+/// smoke would sit idle past the server's idle timeout while `/reload` fits,
+/// and be evicted.
 fn request_ok(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> String {
-    match http_request(addr, method, path, body) {
+    match HttpClient::connect(addr).and_then(|mut client| client.request(method, path, body)) {
         Ok((200, body)) => body,
         Ok((status, body)) => fail(&format!("{method} {path} -> {status}: {body}")),
         Err(e) => fail(&format!("{method} {path} failed: {e}")),
@@ -104,7 +107,6 @@ fn main() {
     });
 
     let config = ServeConfig {
-        pollers: 2,
         batch: BatchConfig { max_batch: 32 },
         ..ServeConfig::default()
     };
@@ -152,7 +154,7 @@ fn main() {
 
     // Connection-multiplexer smoke: park 256 idle keep-alive connections
     // and assert via /metrics that the OS thread count is a function of
-    // the configured pollers + admin thread + queues, not of the client count.
+    // the pollers + admin thread + queues, not of the client count.
     // This runs BEFORE the /reload check because /reload legitimately
     // spawns a detached fit thread and would move the baseline.
     let threads_before = settled_os_threads(addr);
@@ -208,7 +210,9 @@ fn main() {
     let reload_corpus = HolistixCorpus::generate_small(150, 99);
     let jsonl = holistix::corpus::io::to_jsonl(&reload_corpus.posts);
     let n_posts = reload_corpus.posts.len();
-    match http_request(addr, "POST", "/reload", Some(&jsonl)) {
+    let reload = HttpClient::connect(addr)
+        .and_then(|mut client| client.request("POST", "/reload", Some(&jsonl)));
+    match reload {
         Ok((202, body)) => println!("reload accepted: {body}"),
         Ok((status, body)) => fail(&format!("POST /reload -> {status}: {body}")),
         Err(e) => fail(&format!("POST /reload failed: {e}")),

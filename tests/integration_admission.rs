@@ -15,8 +15,8 @@ use holistix::{BaselineKind, FittedBaseline, Scorer, SpeedProfile};
 use holistix_corpus::HolistixCorpus;
 use holistix_explain::{LimeConfig, LimeExplainer};
 use holistix_serve::{
-    http_request, serve, AdmissionConfig, BatchConfig, Endpoint, HttpClient, ModelRegistry,
-    RateLimitConfig, ServeConfig, ShedReason,
+    serve, AdmissionConfig, BatchConfig, Endpoint, HttpClient, ModelRegistry, RateLimitConfig,
+    ServeConfig, ShedReason,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -124,13 +124,14 @@ fn full_queue_rejects_with_retry_after_while_other_kind_serves() {
         // each blocking on a reply that cannot come until the gate opens.
         for i in 0..3 {
             scope.spawn(move |_| {
-                let (status, body) = http_request(
-                    addr,
-                    "POST",
-                    "/predict",
-                    Some(r#"{"text":"hold the queue","model":"BERT"}"#),
-                )
-                .expect("admitted predict");
+                let (status, body) = HttpClient::connect(addr)
+                    .expect("connect")
+                    .request(
+                        "POST",
+                        "/predict",
+                        Some(r#"{"text":"hold the queue","model":"BERT"}"#),
+                    )
+                    .expect("admitted predict");
                 assert_eq!(status, 200, "admitted request {i}: {body}");
                 let document = JsonValue::parse(&body).unwrap();
                 let row = document.get("results").unwrap().as_array().unwrap()[0]
@@ -494,9 +495,10 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
         // Two admitted-and-gated jobs push the aggregate depth to the limit.
         for _ in 0..2 {
             scope.spawn(move |_| {
-                let (status, body) =
-                    http_request(addr, "POST", "/predict", Some(r#"{"text":"hold"}"#))
-                        .expect("gated predict");
+                let (status, body) = HttpClient::connect(addr)
+                    .expect("connect")
+                    .request("POST", "/predict", Some(r#"{"text":"hold"}"#))
+                    .expect("gated predict");
                 assert_eq!(status, 200, "{body}");
             });
         }
@@ -511,8 +513,10 @@ fn intake_valve_pauses_reads_until_the_backlog_drains() {
         // is not read, so it cannot complete while the valve is closed.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         scope.spawn(move |_| {
-            let (status, body) =
-                http_request(addr, "GET", "/healthz", None).expect("post-drain healthz");
+            let (status, body) = HttpClient::connect(addr)
+                .expect("connect")
+                .request("GET", "/healthz", None)
+                .expect("post-drain healthz");
             assert_eq!(status, 200, "{body}");
             done_tx.send(()).unwrap();
         });

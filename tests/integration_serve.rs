@@ -14,7 +14,7 @@ use holistix::corpus::JsonValue;
 use holistix::{BaselineKind, FittedBaseline, Scorer, SpeedProfile};
 use holistix_corpus::HolistixCorpus;
 use holistix_serve::{
-    http_request, serve, BatchConfig, HttpClient, ModelRegistry, RegistryConfig, ServeConfig,
+    serve, BatchConfig, HttpClient, KeepAliveConfig, ModelRegistry, RegistryConfig, ServeConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,10 @@ fn start_server() -> (holistix_serve::ServerHandle, Arc<dyn Scorer>) {
 
 fn predict_one(addr: std::net::SocketAddr, text: &str) -> Vec<f64> {
     let body = format!("{{\"text\":{}}}", holistix::corpus::json::json_escape(text));
-    let (status, body) = http_request(addr, "POST", "/predict", Some(&body)).expect("predict");
+    let (status, body) = HttpClient::connect(addr)
+        .expect("connect")
+        .request("POST", "/predict", Some(&body))
+        .expect("predict");
     assert_eq!(status, 200, "predict failed: {body}");
     let document = JsonValue::parse(&body).expect("predict response is JSON");
     let results = document.get("results").unwrap().as_array().unwrap();
@@ -61,7 +64,10 @@ fn predict_one(addr: std::net::SocketAddr, text: &str) -> Vec<f64> {
 }
 
 fn max_batch_from_metrics(addr: std::net::SocketAddr) -> usize {
-    let (status, body) = http_request(addr, "GET", "/metrics", None).expect("metrics");
+    let (status, body) = HttpClient::connect(addr)
+        .expect("connect")
+        .request("GET", "/metrics", None)
+        .expect("metrics");
     assert_eq!(status, 200);
     let document = JsonValue::parse(&body).expect("metrics response is JSON");
     let batches = document.get("batches").unwrap();
@@ -180,7 +186,10 @@ fn multi_text_request_forms_its_own_batch() {
         .map(|t| holistix::corpus::json::json_escape(t))
         .collect();
     let body = format!("{{\"texts\":[{}]}}", escaped.join(","));
-    let (status, response) = http_request(addr, "POST", "/predict", Some(&body)).unwrap();
+    let (status, response) = HttpClient::connect(addr)
+        .expect("connect")
+        .request("POST", "/predict", Some(&body))
+        .unwrap();
     assert_eq!(status, 200, "{response}");
 
     let document = JsonValue::parse(&response).unwrap();
@@ -225,7 +234,10 @@ fn predict_keeps_answering_during_a_slow_reload() {
     assert!(jsonl.len() < 1 << 20, "reload body must fit the 1 MiB cap");
     let n_posts = corpus.posts.len();
 
-    let (status, body) = http_request(addr, "POST", "/reload", Some(&jsonl)).expect("reload");
+    let (status, body) = HttpClient::connect(addr)
+        .expect("connect")
+        .request("POST", "/reload", Some(&jsonl))
+        .expect("reload");
     assert_eq!(status, 202, "{body}");
 
     // Immediately hammer /predict while the fit runs. Every request must get a
@@ -252,7 +264,10 @@ fn predict_keeps_answering_during_a_slow_reload() {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
-    let (status, body) = http_request(addr, "GET", "/metrics", None).unwrap();
+    let (status, body) = HttpClient::connect(addr)
+        .expect("connect")
+        .request("GET", "/metrics", None)
+        .unwrap();
     assert_eq!(status, 200);
     let metrics = JsonValue::parse(&body).unwrap();
     let registry = metrics.get("registry").unwrap();
@@ -389,13 +404,14 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
     crossbeam::thread::scope(|scope| {
         let slow_done_flag = Arc::clone(&slow_done);
         scope.spawn(move |_| {
-            let (status, body) = http_request(
-                addr,
-                "POST",
-                "/predict",
-                Some(r#"{"text":"saturate the slow queue","model":"BERT"}"#),
-            )
-            .expect("slow predict");
+            let (status, body) = HttpClient::connect(addr)
+                .expect("connect")
+                .request(
+                    "POST",
+                    "/predict",
+                    Some(r#"{"text":"saturate the slow queue","model":"BERT"}"#),
+                )
+                .expect("slow predict");
             assert_eq!(status, 200, "{body}");
             slow_done_flag.store(true, Ordering::SeqCst);
         });
@@ -426,7 +442,10 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
         }
 
         // The slow queue's depth is visible in /metrics while it is stuck.
-        let (status, body) = http_request(addr, "GET", "/metrics", None).unwrap();
+        let (status, body) = HttpClient::connect(addr)
+            .expect("connect")
+            .request("GET", "/metrics", None)
+            .unwrap();
         assert_eq!(status, 200);
         let metrics = JsonValue::parse(&body).unwrap();
         let queues = metrics.get("queues").unwrap();
@@ -441,6 +460,45 @@ fn classical_predicts_complete_while_slow_scorer_batch_is_in_flight() {
         slow_done.load(Ordering::SeqCst),
         "slow request never finished"
     );
+    server.shutdown();
+}
+
+/// The idle timer evicts a silent connection only when it has no request in
+/// flight: a request its scorer holds for six idle timeouts still gets its
+/// answer, and no eviction is counted.
+#[test]
+fn a_request_held_past_the_idle_timeout_still_answers() {
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let registry = ModelRegistry::from_scorers(vec![Arc::new(GatedScorer {
+        started: Arc::clone(&started),
+        release: Arc::clone(&release),
+    }) as Arc<dyn Scorer>]);
+    let config = ServeConfig {
+        keep_alive: KeepAliveConfig {
+            idle_timeout: Duration::from_millis(100),
+            ..KeepAliveConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        let held = scope.spawn(|| {
+            let mut client = HttpClient::connect(addr).expect("connect");
+            client.request("POST", "/predict", Some(r#"{"text":"hold me"}"#))
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !started.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "slow scorer never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        std::thread::sleep(Duration::from_millis(600));
+        release.store(true, Ordering::SeqCst);
+        let (status, body) = held.join().unwrap().expect("held predict");
+        assert_eq!(status, 200, "{body}");
+    });
+    assert_eq!(server.metrics().connections().idle_evictions_total(), 0);
     server.shutdown();
 }
 
@@ -463,7 +521,10 @@ fn explain_endpoint_matches_direct_lime() {
         "{{\"text\":{},\"n_samples\":50}}",
         holistix::corpus::json::json_escape(text)
     );
-    let (status, response) = http_request(addr, "POST", "/explain", Some(&body)).unwrap();
+    let (status, response) = HttpClient::connect(addr)
+        .expect("connect")
+        .request("POST", "/explain", Some(&body))
+        .unwrap();
     assert_eq!(status, 200, "{response}");
     let document = JsonValue::parse(&response).unwrap();
     assert_eq!(
