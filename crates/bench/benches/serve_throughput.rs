@@ -11,14 +11,16 @@
 //! open-loop load on a fixed set of active connections.
 //!
 //! At each step, 4 active clients each hold one persistent [`HttpClient`]
-//! connection and send 50 single-text LR predicts. The corpus is
-//! paper-scale: the Table I lexicon augmented with a 12k-term synthetic
-//! vocabulary (`HolistixCorpus::augment_vocabulary`), so per-text scoring
-//! cost is realistic. Each step records p50/p99/p999 request latency, read
-//! from the server's own log-bucketed histogram and snapshot-subtracted so
-//! every step reports only its own requests. The trajectory is merged into
-//! `BENCH_serve.json` at the repository root under the `"serve_throughput"`
-//! key, so successive runs can be compared.
+//! connection and send single-text LR predicts back to back for a fixed
+//! window of 1 s. Each step runs 3 windows and reports the median req/s,
+//! with all three windows beside it, so a reader can see the spread. The
+//! corpus is paper-scale: the Table I lexicon augmented with a 12k-term
+//! synthetic vocabulary (`HolistixCorpus::augment_vocabulary`), so per-text
+//! scoring cost is realistic. Each step records p50/p99/p999 request latency
+//! over its three windows, read from the server's own log-bucketed histogram
+//! and snapshot-subtracted so every step reports only its own requests. The
+//! trajectory is merged into `BENCH_serve.json` at the repository root under
+//! the `"serve_throughput"` key, so successive runs can be compared.
 //!
 //! Each step asserts the open-connection count, and the sweep asserts a flat
 //! OS thread count. Correctness is pinned elsewhere (the loopback
@@ -42,11 +44,14 @@ const AUGMENT_WORDS_PER_POST: usize = 60;
 const TRAIN_POSTS: usize = 400;
 /// Concurrent keep-alive clients.
 const CLIENTS: usize = 4;
-/// Requests each client issues per measured run.
-const REQUESTS_PER_CLIENT: usize = 50;
+/// How long the clients send requests in one measured window.
+const WINDOW: Duration = Duration::from_secs(1);
+/// Measured windows per sweep step; the step reports their median.
+const WINDOWS_PER_STEP: usize = 3;
 
 /// Start an LR server fitted on the augmented corpus, with an idle timeout
-/// long enough that the parked clients are not evicted mid-measurement.
+/// long enough that the parked clients are not evicted mid-measurement, and
+/// no request cap that an active client could reach within a window.
 fn start_server(corpus: &HolistixCorpus) -> ServerHandle {
     let texts = corpus.texts();
     let labels = corpus.label_indices();
@@ -59,8 +64,8 @@ fn start_server(corpus: &HolistixCorpus) -> ServerHandle {
     );
     let config = ServeConfig {
         keep_alive: KeepAliveConfig {
+            max_requests: usize::MAX,
             idle_timeout: Duration::from_secs(600),
-            ..KeepAliveConfig::default()
         },
         ..ServeConfig::default()
     };
@@ -92,35 +97,42 @@ fn open_idle_clients(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
     idle
 }
 
-/// Drive `CLIENTS` persistent connections × `REQUESTS_PER_CLIENT` single-text
-/// predicts; returns total wall-clock. Panics on any non-200 so a broken
-/// server cannot masquerade as a fast one.
-fn drive(addr: SocketAddr, pool: &[String]) -> Duration {
+/// Drive `CLIENTS` persistent connections, each sending single-text
+/// predicts back to back until `WINDOW` has passed; returns the requests
+/// answered per second. Panics on any non-200 so a broken server cannot
+/// masquerade as a fast one.
+fn drive(addr: SocketAddr, pool: &[String]) -> f64 {
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for client_id in 0..CLIENTS {
-            scope.spawn(move || {
-                let mut client = HttpClient::connect(addr).expect("connect");
-                for i in 0..REQUESTS_PER_CLIENT {
-                    let text = &pool[(client_id * REQUESTS_PER_CLIENT + i) % pool.len()];
-                    let body =
-                        format!("{{\"text\":{}}}", holistix::corpus::json::json_escape(text));
-                    let (status, response) = client
-                        .request("POST", "/predict", Some(&body))
-                        .expect("keep-alive predict");
-                    assert_eq!(status, 200, "{response}");
-                }
-            });
-        }
+    let until = started + WINDOW;
+    let requests: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client_id| {
+                scope.spawn(move || {
+                    let mut client = HttpClient::connect(addr).expect("connect");
+                    let mut sent = 0;
+                    while Instant::now() < until {
+                        let text = &pool[(client_id + sent * CLIENTS) % pool.len()];
+                        let body =
+                            format!("{{\"text\":{}}}", holistix::corpus::json::json_escape(text));
+                        let (status, response) = client
+                            .request("POST", "/predict", Some(&body))
+                            .expect("keep-alive predict");
+                        assert_eq!(status, 200, "{response}");
+                        sent += 1;
+                    }
+                    sent
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client")).sum()
     });
-    started.elapsed()
+    requests as f64 / started.elapsed().as_secs_f64()
 }
 
 fn main() {
     let mut corpus = HolistixCorpus::generate_small(TRAIN_POSTS, 42);
     corpus.augment_vocabulary(AUGMENT_TERMS, AUGMENT_WORDS_PER_POST, 42);
     let pool: Vec<String> = corpus.texts().iter().map(|t| t.to_string()).collect();
-    let total_requests = (CLIENTS * REQUESTS_PER_CLIENT) as f64;
 
     // One server for the whole sweep, so the thread counts compare like for
     // like.
@@ -128,21 +140,22 @@ fn main() {
     let server = start_server(&corpus);
     let addr = server.addr();
     println!(
-        "serve_idle_sweep: {CLIENTS} active clients x {REQUESTS_PER_CLIENT} requests, \
-         12k-term vocabulary, against parked idle connections"
+        "serve_idle_sweep: {CLIENTS} active clients, median of {WINDOWS_PER_STEP} windows \
+         of {WINDOW:?} per step, 12k-term vocabulary, against parked idle connections"
     );
     let mut trajectory: Vec<JsonValue> = Vec::new();
     let mut thread_counts: Vec<u64> = Vec::new();
     let mut idle_pool: Vec<TcpStream> = Vec::new();
     for &target in &idle_counts {
         idle_pool.extend(open_idle_clients(addr, target - idle_pool.len()));
-        // Snapshot the cumulative latency histogram around the drive so each
+        // Snapshot the cumulative latency histogram around the drives so each
         // sweep step reports the percentiles of *its own* requests only
         // (histogram subtraction is exact — the buckets are atomic counters).
         let latency_before = server.metrics().latency_snapshot();
-        let elapsed = drive(addr, &pool);
+        let mut windows: Vec<f64> = (0..WINDOWS_PER_STEP).map(|_| drive(addr, &pool)).collect();
         let latency = server.metrics().latency_snapshot().minus(&latency_before);
-        let req_per_s = total_requests / elapsed.as_secs_f64();
+        windows.sort_by(f64::total_cmp);
+        let req_per_s = windows[WINDOWS_PER_STEP / 2];
         // `drive` joins its client threads, but the kernel can still list a
         // joined thread in /proc for a beat afterwards. Dying threads only
         // inflate the count, so the minimum over a short window is the
@@ -163,12 +176,14 @@ fn main() {
         let pct = |q: f64| latency.percentile(q).unwrap_or(0);
         let (p50, p99, p999) = (pct(0.50), pct(0.99), pct(0.999));
         println!(
-            "idle {target:>4}: {req_per_s:>7.0} req/s  p50 {p50} us  p99 {p99} us  p999 {p999} us  \
-             ({os_threads} OS threads, {open} open connections)"
+            "idle {target:>4}: {req_per_s:>7.0} req/s (windows {windows:.0?})  p50 {p50} us  \
+             p99 {p99} us  p999 {p999} us  ({os_threads} OS threads, {open} open connections)"
         );
+        let windows = windows.into_iter().map(JsonValue::Number).collect();
         trajectory.push(JsonValue::object(vec![
             ("idle_clients", JsonValue::Number(target as f64)),
             ("req_per_s", JsonValue::Number(req_per_s)),
+            ("req_per_s_windows", JsonValue::Array(windows)),
             ("latency_p50_us", JsonValue::Number(p50 as f64)),
             ("latency_p99_us", JsonValue::Number(p99 as f64)),
             ("latency_p999_us", JsonValue::Number(p999 as f64)),
@@ -185,9 +200,10 @@ fn main() {
 
     let report = JsonValue::object(vec![
         ("active_clients", JsonValue::Number(CLIENTS as f64)),
+        ("window_s", JsonValue::Number(WINDOW.as_secs_f64())),
         (
-            "requests_per_client",
-            JsonValue::Number(REQUESTS_PER_CLIENT as f64),
+            "windows_per_step",
+            JsonValue::Number(WINDOWS_PER_STEP as f64),
         ),
         ("idle_sweep", JsonValue::Array(trajectory)),
     ]);

@@ -32,9 +32,9 @@
 //!
 //! 1. **Sparse features end to end.** TF-IDF design matrices are >99% zeros at
 //!    realistic vocabulary sizes, so `holistix_ml`'s vectorisers build
-//!    [`linalg::CsrMatrix`](holistix_linalg::CsrMatrix) rows directly from token
+//!    [`linalg::CsrMatrix`] rows directly from token
 //!    counts (`transform_sparse`) and the three classical classifiers train and
-//!    score over [`linalg::FeatureMatrix`](holistix_linalg::FeatureMatrix) without
+//!    score over [`linalg::FeatureMatrix`] without
 //!    ever materialising the dense `documents × vocabulary` grid. Within a row,
 //!    CSR stores entries in increasing column order, so linear operations are
 //!    bit-identical to their dense counterparts — property tests in `holistix-ml`
@@ -42,8 +42,8 @@
 //!
 //! 2. **Batched parallel inference.** [`FittedBaseline::predict`] and
 //!    [`FittedBaseline::probabilities`] split large inputs into contiguous batches
-//!    and score them on crossbeam scoped threads (the same pattern the
-//!    cross-validation driver uses for folds). Each row's features and scores
+//!    and score them on scoped threads (`holistix_ml::scoped_map`, the fan-out
+//!    the cross-validation driver uses for folds). Each row's features and scores
 //!    depend only on that row's text, so batched parallel output is bit-for-bit
 //!    identical to one-text-at-a-time scoring. The LIME explainer feeds its
 //!    perturbation sets (200 variants per explanation by default) through this

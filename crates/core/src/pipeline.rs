@@ -13,7 +13,7 @@
 use holistix_explain::ProbabilityModel;
 use holistix_linalg::{CsrMatrix, FeatureMatrix, Matrix};
 use holistix_ml::{
-    Classifier, GaussianNaiveBayes, LinearSvm, LinearSvmConfig, LogisticRegression,
+    scoped_map, Classifier, GaussianNaiveBayes, LinearSvm, LinearSvmConfig, LogisticRegression,
     LogisticRegressionConfig, TextPipeline, TfidfVectorizer, VectorizerOptions,
 };
 use holistix_transformer::{FineTuneRecipe, ModelKind, Trainer};
@@ -139,11 +139,11 @@ impl ClassicalClassifier {
 const SCORE_BATCH: usize = 64;
 
 /// Split `texts` into at most `available_parallelism` contiguous chunks of at
-/// least [`SCORE_BATCH`] texts, score each chunk on a crossbeam scoped thread
-/// (the same pattern `holistix_ml::cv` uses for folds), and return the per-chunk
-/// results in order. Each chunk is vectorised to CSR and scored independently;
-/// since every row's features and scores depend only on that row's text, the
-/// result is bit-for-bit identical to scoring texts one at a time.
+/// least [`SCORE_BATCH`] texts, score each chunk on its own thread with
+/// [`scoped_map`], and return the per-chunk results in order. Each chunk is
+/// vectorised to CSR and scored independently; since every row's features and
+/// scores depend only on that row's text, the result is bit-for-bit identical
+/// to scoring texts one at a time.
 fn score_chunked<T, F>(texts: &[&str], score: F) -> Vec<T>
 where
     T: Send,
@@ -163,22 +163,7 @@ where
     let n_chunks = threads.min(texts.len().div_ceil(SCORE_BATCH));
     let chunk_size = texts.len().div_ceil(n_chunks);
     let chunks: Vec<&[&str]> = texts.chunks(chunk_size).collect();
-    let mut results: Vec<Option<T>> = chunks.iter().map(|_| None).collect();
-    let score = &score;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| scope.spawn(move |_| score(chunk)))
-            .collect();
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("batched scoring thread panicked"));
-        }
-    })
-    .expect("batched scoring thread scope failed");
-    results
-        .into_iter()
-        .map(|r| r.expect("missing chunk result"))
-        .collect()
+    scoped_map(&chunks, |chunk| score(chunk))
 }
 
 /// Class probabilities for classical baselines: sparse vectorisation + sparse
@@ -447,14 +432,6 @@ impl BaselinePipeline {
             fit_threads: 1,
             fitted: None,
         }
-    }
-
-    /// Shard the classical feature fit across `n_threads` threads. This is the
-    /// experiment-pipeline knob for the sharded fit; the cross-validation
-    /// driver also sets it per fold from its [`ThreadBudget`](holistix_ml::ThreadBudget).
-    pub fn with_fit_threads(mut self, n_threads: usize) -> Self {
-        self.fit_threads = n_threads.max(1);
-        self
     }
 
     /// The fitted baseline, if `fit` has run.

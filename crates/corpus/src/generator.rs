@@ -13,7 +13,7 @@
 //!   from *other* dimensions or deliberately ambiguous clauses (EA↔SA, EA↔SpiA), which
 //!   is what makes the Emotional and Spiritual classes hard for every model.
 //!
-//! Every post records the gold explanation [`Span`](crate::post::Span) — the byte range
+//! Every post records the gold explanation [`Span`] — the byte range
 //! of the indicator clause — so the LIME evaluation of Table V has gold spans to
 //! compare against, exactly as the real dataset does.
 

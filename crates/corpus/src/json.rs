@@ -183,28 +183,6 @@ impl<'a> JsonParser<'a> {
             .map_err(|e| format!("invalid number {digits:?}: {e}"))
     }
 
-    /// Skip one scalar value (string, number, or bare word like `true`/`null`).
-    pub fn skip_scalar(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.peek() {
-            Some('"') => self.parse_string().map(|_| ()),
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                while matches!(self.chars.peek(), Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    self.chars.next();
-                }
-                Ok(())
-            }
-            Some(c) if c.is_ascii_alphabetic() => {
-                while matches!(self.chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    self.chars.next();
-                }
-                Ok(())
-            }
-            other => Err(format!("cannot skip value starting with {other:?}")),
-        }
-    }
-
     /// Skip one complete JSON value of any type, including nested arrays and
     /// objects (what serde does for unknown fields). Same depth cap as
     /// [`Self::parse_value`].

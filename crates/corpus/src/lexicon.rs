@@ -44,11 +44,6 @@ pub struct DimensionLexicon {
 }
 
 impl DimensionLexicon {
-    /// All keywords without weights.
-    pub fn keyword_strings(&self) -> Vec<&'static str> {
-        self.keywords.iter().map(|w| w.word).collect()
-    }
-
     /// Whether a (lower-cased) word is one of this dimension's indicator keywords.
     pub fn contains(&self, word: &str) -> bool {
         self.keywords.iter().any(|w| w.word == word)

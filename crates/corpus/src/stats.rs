@@ -82,15 +82,6 @@ impl CorpusStatistics {
         }
     }
 
-    /// Mean sentences per post.
-    pub fn mean_sentences_per_post(&self) -> f64 {
-        if self.total_posts == 0 {
-            0.0
-        } else {
-            self.total_sentences as f64 / self.total_posts as f64
-        }
-    }
-
     /// Relative deviation of a measured statistic from the paper reference, as a map
     /// from statistic name to `|measured - paper| / paper`.
     pub fn relative_deviation_from_paper(&self) -> HashMap<&'static str, f64> {

@@ -10,7 +10,7 @@
 //! * [`lime`] — LIME for text: word-masking perturbations, exponential-kernel sample
 //!   weighting, a weighted ridge surrogate and top-k token attributions;
 //! * [`rouge`] — ROUGE-1 and ROUGE-L;
-//! * [`bleu`] — BLEU-n with brevity penalty;
+//! * [`bleu`](mod@bleu) — BLEU-n with brevity penalty;
 //! * [`span_eval`] — token-overlap precision/recall/F1 between a predicted keyword set
 //!   and a gold explanation span, plus the aggregated Table V report.
 //!

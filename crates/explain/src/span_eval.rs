@@ -1,6 +1,6 @@
 //! Explanation-vs-gold-span evaluation (Table V).
 //!
-//! The paper "calculate[s] the similarity score between the LIME-generated predictions
+//! The paper "calculate\[s\] the similarity score between the LIME-generated predictions
 //! and the annotated explanation spans using keywords" and reports F1, precision,
 //! recall, ROUGE and BLEU. Here one evaluation item is a pair of
 //! `(predicted keywords, gold explanation span text)`; keywords are compared against

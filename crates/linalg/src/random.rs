@@ -76,11 +76,6 @@ impl Rng64 {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Bernoulli draw with probability `p`.
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -130,15 +125,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut Rng64) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
     for v in m.data_mut() {
         *v = rng.uniform(-bound, bound);
-    }
-    m
-}
-
-/// Normal(0, std) initialisation of a `rows × cols` weight matrix.
-pub fn normal_init(rows: usize, cols: usize, std: f64, rng: &mut Rng64) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    for v in m.data_mut() {
-        *v = rng.normal_with(0.0, std);
     }
     m
 }

@@ -87,13 +87,6 @@ impl Vector {
         }
     }
 
-    /// In-place scale.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for x in &mut self.0 {
-            *x *= s;
-        }
-    }
-
     /// Scaled copy.
     pub fn scaled(&self, s: f64) -> Vector {
         Vector(self.0.iter().map(|x| x * s).collect())

@@ -1,5 +1,5 @@
-//! The five invariant rules. Each is a lexical pass over a [`FileCtx`]
-//! (`crate::engine::FileCtx`); waivers and dedup happen in the engine.
+//! The five invariant rules. Each is a lexical pass over a
+//! [`FileCtx`](crate::engine::FileCtx); waivers and dedup happen in the engine.
 
 pub mod guard;
 pub mod no_panic;

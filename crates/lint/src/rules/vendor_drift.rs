@@ -13,7 +13,7 @@
 //!
 //! Coverage is item-level: free functions, methods in impls, trait methods,
 //! types, consts, statics, re-exports and `#[macro_export]` macros. Struct
-//! fields and enum variants are below the granularity the swap risk needs
+//! fields and enum variants are finer than the swap risk needs
 //! (adding one changes an *existing* listed item, which review sees); the
 //! rule documents rather than hides that limit.
 

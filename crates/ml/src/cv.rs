@@ -99,13 +99,6 @@ impl<C: Classifier> TfidfPipeline<C> {
         Self::new(classifier, VectorizerOptions::paper_default())
     }
 
-    /// Shard the vectoriser fit across `n_threads` threads (builder form of
-    /// [`TextPipeline::set_fit_threads`]).
-    pub fn with_fit_threads(mut self, n_threads: usize) -> Self {
-        self.fit_threads = n_threads.max(1);
-        self
-    }
-
     /// Access the fitted vectoriser (after `fit`).
     pub fn vectorizer(&self) -> Option<&TfidfVectorizer> {
         self.vectorizer.as_ref()

@@ -14,7 +14,7 @@
 //! `n_threads` contiguous shards, runs the analyzer and an independent
 //! [`VocabularyBuilder`] per shard on scoped threads (the map), tree-reduces
 //! the builders in shard order (pairwise merge rounds via
-//! [`tree_reduce`](crate::parallel::tree_reduce), integer-exact, `O(log)`
+//! [`tree_reduce`], integer-exact, `O(log)`
 //! sequential rounds), and freezes the
 //! vocabulary once. The sequential [`fit`](CountVectorizer::fit) is simply
 //! `n_threads = 1`. [`TfidfVectorizer::fit_parallel`] layers a single IDF
@@ -38,12 +38,12 @@
 //! ASCII-lowercase, and mapped to dense `u32` symbols, so the fit allocates
 //! one `String` per *distinct* term instead of one per token occurrence.
 //! Stems are memoised per distinct word symbol and term/document frequencies
-//! accumulate in plain `Vec<u64>` slots indexed by symbol ([`SymCounts`]),
+//! accumulate in plain `Vec<u64>` slots indexed by symbol (`SymCounts`),
 //! folding into a [`VocabularyBuilder`] only once per shard. The counts are
 //! the same integers the string path produced, so vocabularies, IDF vectors
 //! and matrices stay bit-identical (pinned by a property test against a
 //! reference analyzer built from the public text API). The string-based
-//! [`analyze`] remains the transform/inference path, where documents arrive
+//! `analyze` remains the transform/inference path, where documents arrive
 //! one at a time and an arena would never amortise.
 
 use crate::parallel::{scoped_map, tree_reduce};
@@ -618,15 +618,6 @@ impl TfidfVectorizer {
         let v = Self::fit(documents, options);
         let m = v.transform(documents);
         (v, m)
-    }
-
-    /// Fit and sparse-transform in one step (single-shard case of
-    /// [`fit_transform_sparse_parallel`](Self::fit_transform_sparse_parallel)).
-    pub fn fit_transform_sparse<S: AsRef<str> + Sync>(
-        documents: &[S],
-        options: VectorizerOptions,
-    ) -> (Self, CsrMatrix) {
-        Self::fit_transform_sparse_parallel(documents, options, 1)
     }
 
     /// Sharded fit + sparse transform in one tokenisation pass: the count

@@ -17,7 +17,7 @@
 //!   sequential fit for every shard count, with a one-tokenisation-pass
 //!   fit + CSR transform
 //!   ([`fit_transform_sparse_parallel`](features::TfidfVectorizer::fit_transform_sparse_parallel)),
-//! * [`classifier`] — the [`Classifier`](classifier::Classifier) trait shared by every
+//! * [`classifier`] — the [`Classifier`] trait shared by every
 //!   baseline (classical and transformer alike, via the core crate's adapters),
 //! * [`logistic`] — multinomial logistic regression trained with mini-batch SGD + L2,
 //! * [`svm`] — one-vs-rest linear SVM with hinge loss (the `LinearSVC`-style baseline),
@@ -26,7 +26,7 @@
 //!   weighted averages, accuracy,
 //! * [`cv`] — the stratified k-fold cross-validation driver that produces the
 //!   Table IV rows (per-class metrics averaged over folds), with optional parallel
-//!   fold execution and a [`ThreadBudget`](cv::ThreadBudget) shared between
+//!   fold execution and a [`ThreadBudget`] shared between
 //!   concurrent folds and each fold's sharded vectoriser fit
 //!   (`folds × shards ≤ budget`).
 

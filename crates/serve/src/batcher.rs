@@ -2,11 +2,11 @@
 //! blocking between models.
 //!
 //! Pollers never score texts: a `/predict` enters its model's queue as one
-//! [`Work::predict`] job, a `/explain` as one [`Work::explain`] job, each
+//! `Work::predict` job, a `/explain` as one `Work::explain` job, each
 //! with the scorer pinned at admission (so a request that waits across a
-//! `/reload` swap still gets every row from one model) and its own [`Reply`],
+//! `/reload` swap still gets every row from one model) and its own `Reply`,
 //! through which the drain thread answers the owning poller. Each registered
-//! kind owns a [`BatchQueue`]: its own `mpsc` channel and drain thread, so a
+//! kind owns a `BatchQueue`: its own `mpsc` channel and drain thread, so a
 //! 50 ms transformer batch never stalls the logistic-regression batch queued
 //! behind it.
 //!
@@ -835,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_many_fails_cleanly_after_shutdown() {
+    fn submit_fails_cleanly_after_shutdown() {
         let registry = SharedRegistry::new(tiny_registry());
         let metrics = ServeMetrics::new();
         let (handle, queues) = build_queues(&registry, &BatchConfig::default(), &metrics, 1024);

@@ -1,9 +1,8 @@
-//! Per-connection state machines for the nonblocking multiplexer, plus the
-//! idle-timeout wheel.
+//! Per-connection state machines for the nonblocking multiplexer.
 //!
-//! A [`Connection`] owns one nonblocking socket and everything needed to
+//! A `Connection` owns one nonblocking socket and everything needed to
 //! resume it from any interruption: the incremental
-//! [`RequestParser`](crate::http::RequestParser) (request framing picks up
+//! [`RequestParser`] (request framing picks up
 //! wherever the last read fragment stopped), an output buffer with
 //! partial-write resumption (a response interrupted by a full socket buffer
 //! continues from the exact byte on the next writable event), keep-alive
@@ -12,25 +11,23 @@
 //! ## Pipelining
 //!
 //! Requests are assigned monotonically increasing sequence numbers as they
-//! parse; up to [`MAX_PIPELINED`] may be in flight at once, so request `N+1`
+//! parse; up to `MAX_PIPELINED` may be in flight at once, so request `N+1`
 //! parses (and is routed) while `N`'s batch is still being scored. Responses
 //! complete in *any* order — each whenever its batch queue (or the admin
 //! thread) finishes it — but serialize strictly in sequence order through the
-//! [`pending`](Connection) reorder map, so the client always sees answers in
+//! `pending` reorder map, so the client always sees answers in
 //! the order it asked. At the cap the connection simply stops reading
 //! (POLLIN interest is withdrawn), pushing backpressure into the kernel's
 //! receive buffer instead of server memory.
 //!
 //! ## Idle timeout
 //!
-//! [`TimerWheel`] is a hashed wheel with **lazy revalidation**: connections
-//! are scheduled once at accept and the wheel is never touched on activity
-//! (no per-request reschedule cost). When an entry fires, the poller
-//! re-checks the connection's `last_activity` — a busy connection is simply
-//! rescheduled for its remaining lifetime, and one that moved no byte for
-//! the timeout is evicted, unless it has a request in flight and no output
-//! stuck. Stale entries (the slot was reused by a newer connection) are
-//! filtered by generation number.
+//! Each connection stamps `last_activity` whenever a byte moves, and
+//! `Connection::idle_deadline` turns that stamp into the moment the
+//! connection may be evicted. Every poller round already walks every
+//! connection to rebuild its poll set, so the poller checks the deadlines on
+//! that walk and sleeps no longer than the earliest one. Activity costs only
+//! the timestamp, and no timer state can go stale.
 //!
 //! lint: no_panic — connection state machines run on poller threads: a panic
 //! here kills the thread and orphans its whole connection set, so panicking
@@ -56,8 +53,8 @@ const READ_CHUNK: usize = 16 << 10;
 /// One keep-alive connection owned by a poller thread. See the module docs.
 pub(crate) struct Connection {
     stream: TcpStream,
-    /// Reused slots get a fresh generation, so completions and timer entries
-    /// addressed to a dead connection are recognisably stale.
+    /// Reused slots get a fresh generation, so completions addressed to a
+    /// dead connection are recognisably stale.
     pub(crate) generation: u64,
     parser: RequestParser,
     /// Serialized-but-unsent response bytes; `out_pos` is the partial-write
@@ -95,7 +92,7 @@ pub(crate) struct Connection {
     /// rate limiting is off.
     bucket: Option<TokenBucket>,
     /// Last moment bytes moved on this socket in either direction.
-    pub(crate) last_activity: Instant,
+    last_activity: Instant,
 }
 
 impl Connection {
@@ -138,7 +135,7 @@ impl Connection {
     }
 
     /// Requests dispatched whose responses have not yet been serialized.
-    pub(crate) fn outstanding(&self) -> usize {
+    fn outstanding(&self) -> usize {
         (self.next_seq - self.next_write_seq) as usize
     }
 
@@ -153,6 +150,20 @@ impl Connection {
     /// Whether unsent response bytes are waiting on socket writability.
     pub(crate) fn wants_write(&self) -> bool {
         self.out_pos < self.out.len()
+    }
+
+    /// When the idle timeout may evict this connection: `idle_timeout` after
+    /// the last byte moved. Whatever the parser holds, a client that sends
+    /// part of a request and goes silent holds its slot like an idle one, and
+    /// `wants_write` past the deadline means the client stopped draining its
+    /// responses. `None` for a connection merely waiting on a model batch (a
+    /// request in flight, no output stuck), and for a deadline past what
+    /// `Instant` can hold: such a timeout never evicts.
+    pub(crate) fn idle_deadline(&self, idle_timeout: Duration) -> Option<Instant> {
+        if self.outstanding() > 0 && !self.wants_write() {
+            return None;
+        }
+        self.last_activity.checked_add(idle_timeout)
     }
 
     /// The session is over and fully flushed: the poller should drop the
@@ -365,73 +376,6 @@ impl Connection {
     }
 }
 
-/// A hashed timer wheel over connection slots, with lazy revalidation (see
-/// the module docs). Entries are `(slot, generation)` pairs; the wheel never
-/// cancels — stale pairs fall out when they fire and fail validation.
-pub(crate) struct TimerWheel {
-    granularity: Duration,
-    buckets: Vec<Vec<(usize, u64)>>,
-    /// Bucket whose entries are due at `base`.
-    hand: usize,
-    /// Due time of the `hand` bucket.
-    base: Instant,
-    len: usize,
-}
-
-impl TimerWheel {
-    pub(crate) fn new(granularity: Duration, n_buckets: usize, now: Instant) -> Self {
-        Self {
-            granularity: granularity.max(Duration::from_millis(1)),
-            buckets: vec![Vec::new(); n_buckets.max(2)],
-            hand: 0,
-            base: now + granularity,
-            len: 0,
-        }
-    }
-
-    /// Schedule `(slot, generation)` to fire at or shortly after `deadline`.
-    /// Deadlines beyond the wheel horizon land in the farthest bucket and are
-    /// rescheduled on fire (lazy revalidation re-checks real deadlines
-    /// anyway, so clamping only costs an extra wakeup).
-    pub(crate) fn schedule(&mut self, deadline: Instant, slot: usize, generation: u64) {
-        let offset = deadline.saturating_duration_since(self.base);
-        let ticks = (offset.as_nanos() / self.granularity.as_nanos().max(1)) as usize;
-        let index = (self.hand + ticks.min(self.buckets.len() - 1)) % self.buckets.len();
-        self.buckets[index].push((slot, generation));
-        self.len += 1;
-    }
-
-    /// Advance the wheel to `now`, returning every entry that has come due.
-    pub(crate) fn expire(&mut self, now: Instant) -> Vec<(usize, u64)> {
-        let mut due = Vec::new();
-        let mut rounds = 0;
-        while now >= self.base && rounds < self.buckets.len() {
-            due.append(&mut self.buckets[self.hand]);
-            self.hand = (self.hand + 1) % self.buckets.len();
-            self.base += self.granularity;
-            rounds += 1;
-        }
-        if now >= self.base {
-            // Slept past a full rotation: every bucket was drained above;
-            // jump the wheel forward instead of ticking through dead time.
-            let behind = now.duration_since(self.base).as_nanos();
-            let ticks = (behind / self.granularity.as_nanos().max(1)) as u32 + 1;
-            self.base += self.granularity * ticks;
-        }
-        self.len -= due.len();
-        due
-    }
-
-    /// How long a poller may sleep before the next bucket comes due, or
-    /// `None` when nothing is scheduled.
-    pub(crate) fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        Some(self.base.saturating_duration_since(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,43 +387,5 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         let conn = Connection::new(stream, 0, Instant::now(), None).unwrap();
         assert!(conn.stream.nodelay().unwrap());
-    }
-
-    #[test]
-    fn timer_wheel_fires_after_the_deadline_not_before() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(10), 8, start);
-        wheel.schedule(start + Duration::from_millis(35), 3, 7);
-        assert!(wheel.expire(start).is_empty());
-        assert!(wheel.expire(start + Duration::from_millis(20)).is_empty());
-        let due = wheel.expire(start + Duration::from_millis(60));
-        assert_eq!(due, vec![(3, 7)]);
-        assert_eq!(wheel.next_timeout(start), None);
-    }
-
-    #[test]
-    fn timer_wheel_clamps_beyond_horizon_deadlines() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(10), 4, start);
-        // Horizon is 40ms; a 10-minute deadline lands in the farthest bucket
-        // and fires early — the poller revalidates and reschedules.
-        wheel.schedule(start + Duration::from_secs(600), 1, 1);
-        let due = wheel.expire(start + Duration::from_millis(100));
-        assert_eq!(due, vec![(1, 1)]);
-    }
-
-    #[test]
-    fn timer_wheel_survives_long_sleeps() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(10), 4, start);
-        wheel.schedule(start + Duration::from_millis(15), 2, 2);
-        // The poller slept way past several full rotations.
-        let due = wheel.expire(start + Duration::from_secs(30));
-        assert_eq!(due, vec![(2, 2)]);
-        // The wheel recovered: a fresh schedule still fires.
-        let late = start + Duration::from_secs(30);
-        wheel.schedule(late + Duration::from_millis(15), 4, 4);
-        assert!(wheel.expire(late + Duration::from_millis(5)).is_empty());
-        assert_eq!(wheel.expire(late + Duration::from_secs(1)), vec![(4, 4)]);
     }
 }

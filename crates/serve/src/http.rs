@@ -192,9 +192,10 @@ impl RequestParser {
         self.buffer.extend_from_slice(bytes);
     }
 
-    /// True when no partial request is buffered — EOF here is the clean end
-    /// of a keep-alive session, while EOF mid-request is a peer abort.
-    pub fn is_idle(&self) -> bool {
+    /// True when no partial request is buffered. Only the parser's unit
+    /// tests ask: the server's idle timeout does not look at the parser.
+    #[cfg(test)]
+    fn is_idle(&self) -> bool {
         self.buffer.is_empty() && self.head.is_none()
     }
 

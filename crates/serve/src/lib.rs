@@ -24,7 +24,7 @@
 //!                  │  │   incremental RequestParser ── reorder buffer ──►  │
 //!                  │  │   seq-numbered routing         in-order responses, │
 //!                  │  │   (≤32 pipelined)              partial-write       │
-//!                  │  │   idle-timeout wheel           resumption          │
+//!                  │  │   idle deadline                resumption          │
 //!                  │  │ answers /healthz, /debug/slow, 404/405 and every   │
 //!                  │  │ refusal; admits /predict and /explain              │
 //!                  │  │                                                    │
@@ -51,8 +51,8 @@
 //! * **[`conn`]** — per-connection state machines: incremental request
 //!   framing that resumes from any byte boundary, response write-out with
 //!   partial-write resumption, request pipelining with an in-order reorder
-//!   buffer, keep-alive accounting, and the hashed idle-timeout wheel with
-//!   lazy revalidation.
+//!   buffer, keep-alive accounting, and each connection's idle deadline,
+//!   which its poller checks while rebuilding the poll set every round.
 //!
 //! * **The [`Scorer`](holistix::Scorer) seam** — everything here is written
 //!   against `Arc<dyn Scorer>` (batched `probabilities` + `kind`), never a
@@ -68,7 +68,7 @@
 //!   [`ModelRegistry::from_scorers`](registry::ModelRegistry::from_scorers)
 //!   registers heterogeneous or externally trained scorers directly. The
 //!   registry itself is immutable;
-//!   [`SharedRegistry`](registry::SharedRegistry) makes it *replaceable* —
+//!   [`SharedRegistry`] makes it *replaceable* —
 //!   `POST /reload` fits a fresh registry from an uploaded JSONL corpus **on
 //!   a dedicated thread** (never a poller or a batch queue) and
 //!   atomically swaps the `Arc`, so in-flight requests finish on the old

@@ -289,9 +289,9 @@ impl ConnectionMetrics {
         self.pipelined_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one connection evicted by the idle-timeout wheel. The eviction
-    /// also closes the connection, which is recorded separately via
-    /// [`record_closed`](Self::record_closed).
+    /// Count one connection its poller evicted because no byte moved for the
+    /// idle timeout. The eviction also closes the connection, which is
+    /// recorded separately via [`record_closed`](Self::record_closed).
     pub fn record_idle_eviction(&self) {
         self.idle_evictions_total.fetch_add(1, Ordering::Relaxed);
     }
@@ -779,7 +779,7 @@ impl ServeMetrics {
             .value(int(&connections.pipelined_total)),
             Family::counter(
                 "holistix_idle_timeout_evictions_total",
-                "Connections evicted by the idle-timeout wheel.",
+                "Connections evicted after moving no byte for the idle timeout.",
                 "connections.idle_timeout_evictions_total",
             )
             .value(int(&connections.idle_evictions_total)),

@@ -6,7 +6,7 @@
 //! microseconds-to-milliseconds. The registry pays the fitting cost up front —
 //! one crossbeam scoped thread per requested [`BaselineKind`], each classical
 //! fit itself sharded across its slice of the machine's
-//! [`ThreadBudget`](holistix::ml::ThreadBudget) — and hands out
+//! [`ThreadBudget`] — and hands out
 //! `Arc<dyn Scorer>` clones to the batch queues and the `/explain` jobs.
 //!
 //! Since the `Scorer` API redesign the registry is backend-agnostic: it stores

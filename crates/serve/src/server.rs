@@ -27,9 +27,11 @@
 //! Connections are pipelined: a poller keeps parsing (and routing) request
 //! `N+1` while `N` is still being scored, and the per-connection reorder
 //! buffer guarantees responses go out in request order. Idle connections are
-//! evicted by a timer wheel, never by a blocking read timeout. The same wheel
-//! evicts a client that stops draining its responses, and one that stalls
-//! partway through a request, once no bytes have moved for the idle timeout.
+//! evicted by the poller itself, never by a blocking read timeout: each round
+//! rebuilds the poll set from every connection, closes on the way each one
+//! that moved no byte for the idle timeout, and sleeps until the earliest
+//! remaining deadline. The same check evicts a client that stops draining its
+//! responses, and one that stalls partway through a request.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] flips the running flag and wakes
 //! every poller. Pollers drop their connections and exit, dropping their
@@ -39,7 +41,7 @@
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::batcher::{build_queues, BatchConfig, BatcherHandle, PredictError, Reply, Work};
-use crate::conn::{Connection, TimerWheel};
+use crate::conn::Connection;
 use crate::http::{Request, Response};
 use crate::metrics::{build_info, Endpoint, ServeMetrics, ShedReason};
 use crate::obs::{RequestTrace, TraceStamp};
@@ -80,12 +82,10 @@ pub const MAX_EXPLAIN_FEATURES: usize = 512;
 /// since pollers do no model work.
 const POLLERS: usize = 2;
 
-/// How long a poller sleeps when no timer is pending. Purely a liveness
-/// backstop — wakeups for I/O, completions and shutdown all interrupt it.
+/// Longest a poller sleeps: when no idle deadline is nearer. Purely a
+/// liveness backstop — wakeups for I/O, completions and shutdown all
+/// interrupt it.
 const FALLBACK_POLL: Duration = Duration::from_millis(500);
-
-/// Buckets in each poller's idle-timeout wheel.
-const WHEEL_BUCKETS: usize = 32;
 
 /// Poll-set token for a poller's own waker pipe.
 const TOKEN_WAKER: usize = usize::MAX;
@@ -108,8 +108,9 @@ pub struct KeepAliveConfig {
     /// much state one client session can accumulate.
     pub max_requests: usize,
     /// How long a connection may sit idle (no bytes moving in either
-    /// direction) before the timer wheel evicts it. Also bounds how long a
-    /// non-draining client can hold buffered responses.
+    /// direction) before its poller evicts it. Also bounds how long a
+    /// non-draining client can hold buffered responses. A timeout too large
+    /// for [`Instant`] to add never evicts.
     pub idle_timeout: Duration,
 }
 
@@ -709,18 +710,11 @@ struct Poller<'a> {
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
     next_generation: u64,
-    wheel: TimerWheel,
-    granularity: Duration,
     set: PollSet,
 }
 
 impl<'a> Poller<'a> {
     fn new(reader: WakeReader, waker: Waker, routes: Routes<'a>) -> Self {
-        // Wheel granularity: fine enough that evictions land near the
-        // deadline, coarse enough that an idle server barely ticks.
-        let idle_timeout = routes.state.config.keep_alive.idle_timeout;
-        let granularity =
-            (idle_timeout / 8).clamp(Duration::from_millis(10), Duration::from_secs(1));
         Self {
             state: routes.state,
             reader,
@@ -732,8 +726,6 @@ impl<'a> Poller<'a> {
             conns: Vec::new(),
             free: Vec::new(),
             next_generation: 0,
-            wheel: TimerWheel::new(granularity, WHEEL_BUCKETS, Instant::now()),
-            granularity,
             set: PollSet::new(),
         }
     }
@@ -742,13 +734,7 @@ impl<'a> Poller<'a> {
         let idle_timeout = self.state.config.keep_alive.idle_timeout;
         let idle_timeout = idle_timeout.max(Duration::from_millis(1));
         while self.state.running.load(Ordering::SeqCst) {
-            self.build_set();
-            let now = Instant::now();
-            let timeout = self
-                .wheel
-                .next_timeout(now)
-                .unwrap_or(FALLBACK_POLL)
-                .min(FALLBACK_POLL);
+            let timeout = self.build_set(Instant::now(), idle_timeout);
             let n_ready = match self.set.wait(timeout) {
                 Ok(n) => n,
                 Err(_) => {
@@ -768,7 +754,7 @@ impl<'a> Poller<'a> {
             for event in events {
                 match event.token {
                     TOKEN_WAKER => self.reader.drain(),
-                    TOKEN_LISTENER => self.accept_new(now, idle_timeout, &mut touched),
+                    TOKEN_LISTENER => self.accept_new(now, &mut touched),
                     slot => {
                         let conn = self.conns[slot].as_mut();
                         if event.readable && conn.is_some_and(|c| c.on_readable(now).is_err()) {
@@ -804,7 +790,6 @@ impl<'a> Poller<'a> {
             for slot in touched {
                 self.pump(slot, now);
             }
-            self.expire_timers(now, idle_timeout);
         }
         // Shutdown: drop every connection (close the sockets, settle the
         // open-connection gauge).
@@ -813,10 +798,15 @@ impl<'a> Poller<'a> {
         }
     }
 
-    /// Rebuild the poll set from the live connection table. O(connections)
-    /// per wait, but a single FFI call and trivially correct under churn — a
-    /// closed fd is simply never submitted again.
-    fn build_set(&mut self) {
+    /// Rebuild the poll set from the live connection table, evicting on the
+    /// way every connection past its [idle deadline](Connection::idle_deadline)
+    /// (counted in `idle_timeout_evictions_total`). Returns how long the
+    /// poller may sleep: until the earliest remaining deadline, rounded up to
+    /// a whole millisecond because `poll(2)` rounds down, and at most
+    /// [`FALLBACK_POLL`]. O(connections) per wait, but a single FFI call and
+    /// trivially correct under churn — a closed fd is simply never submitted
+    /// again.
+    fn build_set(&mut self, now: Instant, idle_timeout: Duration) -> Duration {
         // The global intake valve: while aggregate queue depth is at or past
         // the configured limit, this poller neither accepts nor reads — the
         // same withdraw-read-interest mechanism the per-connection pipelining
@@ -835,24 +825,36 @@ impl<'a> Poller<'a> {
                 TOKEN_LISTENER,
             );
         }
-        for (slot, conn) in self.conns.iter().enumerate() {
-            if let Some(conn) = conn {
-                // A connection at the pipelining cap (or past its final
-                // request) withdraws read interest: backpressure lands in the
-                // kernel's receive buffer. Hangups still surface — poll
-                // reports them regardless of the requested events.
-                let interest = Interest {
-                    read: intake_open && conn.wants_read(),
-                    write: conn.wants_write(),
-                };
-                self.set.push(conn.fd(), interest, slot);
+        let mut wake = now + FALLBACK_POLL;
+        for slot in 0..self.conns.len() {
+            let Some(conn) = &self.conns[slot] else {
+                continue;
+            };
+            match conn.idle_deadline(idle_timeout) {
+                Some(deadline) if deadline <= now => {
+                    self.state.metrics.connections().record_idle_eviction();
+                    self.close(slot);
+                    continue;
+                }
+                Some(deadline) => wake = wake.min(deadline),
+                None => {}
             }
+            // A connection at the pipelining cap (or past its final request)
+            // withdraws read interest: backpressure lands in the kernel's
+            // receive buffer. Hangups still surface — poll reports them
+            // regardless of the requested events.
+            let interest = Interest {
+                read: intake_open && conn.wants_read(),
+                write: conn.wants_write(),
+            };
+            self.set.push(conn.fd(), interest, slot);
         }
+        Duration::from_millis((wake - now).as_nanos().div_ceil(1_000_000) as u64)
     }
 
     /// Drain the listener's accept queue. Every poller races on the same
     /// listener; losers see `WouldBlock` immediately.
-    fn accept_new(&mut self, now: Instant, idle_timeout: Duration, touched: &mut Vec<usize>) {
+    fn accept_new(&mut self, now: Instant, touched: &mut Vec<usize>) {
         loop {
             match self.state.listener.accept() {
                 Ok((stream, _)) => {
@@ -873,7 +875,6 @@ impl<'a> Poller<'a> {
                         }
                     };
                     self.state.metrics.connections().record_accepted();
-                    self.wheel.schedule(now + idle_timeout, slot, generation);
                     touched.push(slot);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -920,35 +921,6 @@ impl<'a> Poller<'a> {
         }
     }
 
-    /// Fire due timers with lazy revalidation: evict connections that moved
-    /// no byte for the timeout with no request in flight (idle, or stalled
-    /// partway through a request) or with output stuck; reschedule
-    /// everything else for its remaining lifetime.
-    fn expire_timers(&mut self, now: Instant, idle_timeout: Duration) {
-        for (slot, generation) in self.wheel.expire(now) {
-            let Some(conn) = self.conns[slot].as_ref() else {
-                continue;
-            };
-            if conn.generation != generation {
-                continue; // the slot was reused; the old connection is gone
-            }
-            let idle_for = now.duration_since(conn.last_activity);
-            // Whatever the parser holds: a client that sends part of a
-            // request and goes silent holds its slot like an idle one.
-            // `wants_write` past the timeout means the client stopped
-            // draining its responses. A connection merely waiting on a slow
-            // model batch has in-flight work and no stuck output, so it is
-            // rescheduled, not evicted.
-            if idle_for >= idle_timeout && (conn.outstanding() == 0 || conn.wants_write()) {
-                self.state.metrics.connections().record_idle_eviction();
-                self.close(slot);
-            } else {
-                let deadline = (conn.last_activity + idle_timeout).max(now + self.granularity);
-                self.wheel.schedule(deadline, slot, generation);
-            }
-        }
-    }
-
     /// Drop the connection in `slot` (closing its socket) and recycle the
     /// slot.
     fn close(&mut self, slot: usize) {
@@ -979,6 +951,21 @@ mod tests {
                 n_samples: 40,
                 ..LimeConfig::default()
             },
+            ..ServeConfig::default()
+        };
+        serve("127.0.0.1:0", registry, config).expect("bind loopback")
+    }
+
+    /// An LR server whose connections follow `keep_alive`.
+    fn keep_alive_server(keep_alive: KeepAliveConfig) -> ServerHandle {
+        let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
+            kinds: vec![BaselineKind::LogisticRegression],
+            profile: SpeedProfile::Tiny,
+            training_posts: 90,
+            seed: 3,
+        });
+        let config = ServeConfig {
+            keep_alive,
             ..ServeConfig::default()
         };
         serve("127.0.0.1:0", registry, config).expect("bind loopback")
@@ -1064,20 +1051,10 @@ mod tests {
 
     #[test]
     fn server_honors_connection_close_and_request_cap() {
-        let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
-            kinds: vec![BaselineKind::LogisticRegression],
-            profile: SpeedProfile::Tiny,
-            training_posts: 90,
-            seed: 3,
+        let server = keep_alive_server(KeepAliveConfig {
+            max_requests: 2,
+            idle_timeout: Duration::from_secs(5),
         });
-        let config = ServeConfig {
-            keep_alive: KeepAliveConfig {
-                max_requests: 2,
-                idle_timeout: Duration::from_secs(5),
-            },
-            ..ServeConfig::default()
-        };
-        let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
         let addr = server.addr();
 
         // A client that sends Connection: close gets a response announcing
@@ -1119,31 +1096,48 @@ mod tests {
 
     #[test]
     fn idle_connections_are_closed_after_the_timeout() {
-        let registry = ModelRegistry::fit_synthetic(&RegistryConfig {
-            kinds: vec![BaselineKind::LogisticRegression],
-            profile: SpeedProfile::Tiny,
-            training_posts: 90,
-            seed: 3,
+        let server = keep_alive_server(KeepAliveConfig {
+            max_requests: 100,
+            idle_timeout: Duration::from_millis(300),
         });
-        let config = ServeConfig {
-            keep_alive: KeepAliveConfig {
-                max_requests: 100,
-                idle_timeout: Duration::from_millis(100),
-            },
-            ..ServeConfig::default()
-        };
-        let server = serve("127.0.0.1:0", registry, config).expect("bind loopback");
-        let addr = server.addr();
+        let metrics = server.metrics();
 
-        let mut client = HttpClient::connect(addr).expect("connect");
-        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
-        // Sit idle past the timeout; the server closes, so the next round
-        // trip fails (broken pipe on write or EOF on read).
-        std::thread::sleep(Duration::from_millis(400));
+        // Activity postpones the deadline: a request every 50 ms for 1 s
+        // keeps the connection, and nothing is evicted early.
+        let mut client = HttpClient::connect(server.addr()).expect("connect");
+        let busy_until = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < busy_until {
+            assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(metrics.connections().idle_evictions_total(), 0);
+
+        // Once the client goes quiet, the server evicts the connection and
+        // counts it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.connections().idle_evictions_total() == 0 {
+            assert!(Instant::now() < deadline, "the idle connection stayed open");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // The server closed, so the next round trip fails (broken pipe on
+        // write or EOF on read).
         assert!(client.request("GET", "/healthz", None).is_err());
         drop(client);
-        // The eviction is visible in the connection counters.
-        assert!(server.metrics().connections().idle_evictions_total() >= 1);
+        assert_eq!(metrics.connections().idle_evictions_total(), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_timeout_too_large_for_instant_never_evicts() {
+        let server = keep_alive_server(KeepAliveConfig {
+            max_requests: 100,
+            idle_timeout: Duration::MAX,
+        });
+        let mut client = HttpClient::connect(server.addr()).expect("connect");
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+        drop(client);
+        assert_eq!(server.metrics().connections().idle_evictions_total(), 0);
         server.shutdown();
     }
 

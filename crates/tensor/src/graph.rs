@@ -240,7 +240,7 @@ impl Graph {
     ///
     /// Functionally identical to `gather(param(store, id), indices)` but skips both
     /// the dense table clone on the forward pass and the dense `vocab × hidden`
-    /// gradient scratch on the backward pass; see [`Op::GatherParam`]'s backward rule.
+    /// gradient scratch on the backward pass; see `Op::GatherParam`'s backward rule.
     /// Gradients accumulate into the store bit-identically to the dense formulation
     /// (same per-position fold order, see the `gather_param_matches_dense_gather`
     /// test).

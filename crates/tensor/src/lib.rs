@@ -8,10 +8,10 @@
 //! them with a tape-based autograd design chosen deliberately over an `Rc<RefCell>`
 //! graph:
 //!
-//! * a [`Graph`](graph::Graph) is an arena of nodes created during the forward pass;
+//! * a [`Graph`] is an arena of nodes created during the forward pass;
 //!   node handles are plain `usize` indices, so the whole engine is `Send` and the
 //!   cross-validation driver can train folds on parallel threads;
-//! * trainable parameters live in a [`ParamStore`](params::ParamStore) that persists
+//! * trainable parameters live in a [`ParamStore`] that persists
 //!   across forward passes; leaf nodes reference parameters by id and `backward`
 //!   accumulates gradients straight into the store;
 //! * [`optim`] implements SGD and Adam with gradient clipping.

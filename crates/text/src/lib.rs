@@ -8,14 +8,14 @@
 //! consistent view of what a *token*, a *sentence*, and a *vocabulary* are. This
 //! crate provides that view without any third-party NLP dependencies:
 //!
-//! * [`tokenize`] — Unicode-aware word tokenisation and sentence splitting,
-//! * [`normalize`] — case folding, punctuation stripping, whitespace cleanup,
+//! * [`tokenize`](mod@tokenize) — Unicode-aware word tokenisation and sentence splitting,
+//! * [`normalize`](mod@normalize) — case folding, punctuation stripping, whitespace cleanup,
 //! * [`stopwords`] — an English stop-word list tuned for social-media text,
-//! * [`stem`] — a light Porter-style suffix stripper,
+//! * [`stem`](mod@stem) — a light Porter-style suffix stripper,
 //! * [`vocab`] — frequency-counted vocabularies with id mapping,
 //! * [`intern`] — per-fit string interning so hot loops allocate once per
 //!   distinct term instead of once per token occurrence,
-//! * [`ngrams`] — n-gram extraction used by the BLEU metric and feature ablations,
+//! * [`ngrams`](mod@ngrams) — n-gram extraction used by the BLEU metric and feature ablations,
 //! * [`subword`] — a WordPiece-style subword tokeniser used by the transformer
 //!   baselines (greedy longest-match with `##` continuation pieces).
 //!

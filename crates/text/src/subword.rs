@@ -160,11 +160,6 @@ impl SubwordTokenizer {
         self.vocab.len()
     }
 
-    /// Id of a piece.
-    pub fn piece_id(&self, piece: &str) -> Option<usize> {
-        self.ids.get(piece).copied()
-    }
-
     /// Piece string for an id.
     pub fn piece(&self, id: usize) -> Option<&str> {
         self.vocab.get(id).map(|s| s.as_str())

@@ -26,14 +26,14 @@
 //! their provenance.
 //!
 //! Modules:
-//! * [`config`] — architectural configuration and the [`ModelKind`](config::ModelKind) enum,
+//! * [`config`] — architectural configuration and the [`ModelKind`] enum,
 //! * [`attention`] — multi-head self-attention (bidirectional / causal / relative),
 //! * [`layers`] — feed-forward blocks, layer-norm parameter bundles, encoder layers,
-//! * [`model`] — the end-to-end [`TransformerClassifier`](model::TransformerClassifier),
+//! * [`model`] — the end-to-end [`TransformerClassifier`],
 //! * [`pretrain`] — masked-LM domain-adaptive pre-initialisation,
 //! * [`trainer`] — the fine-tuning loop (Adam, shuffled mini-batches, gradient clipping),
 //! * [`zoo`] — the named model zoo with per-model recipes,
-//! * [`quant`] — weight-only i8 quantized inference ([`QuantizedTransformer`](quant::QuantizedTransformer)).
+//! * [`quant`] — weight-only i8 quantized inference ([`QuantizedTransformer`]).
 //!
 //! ## Fast path
 //!
@@ -46,7 +46,7 @@
 //! hence for `holistix-core`'s `TransformerScorer` and
 //! `FittedBaseline::Transformer`, both through
 //! [`Trainer::predict_proba_batch`](trainer::Trainer::predict_proba_batch) —
-//! and in f32 over i8 weights for [`QuantizedTransformer`](quant::QuantizedTransformer).
+//! and in f32 over i8 weights for [`QuantizedTransformer`].
 //! It scores one sequence at a time and skips two sets of rows the tape
 //! computes: the padded tail, which cuts the quadratic attention cost to the
 //! real token count, and every row of the last layer that pooling does not

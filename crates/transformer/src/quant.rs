@@ -1,13 +1,13 @@
 //! Weight-only i8 quantized inference for fitted transformer classifiers.
 //!
 //! [`QuantizedTransformer`] is built by quantizing a fitted
-//! [`TransformerClassifier`](crate::model::TransformerClassifier): every weight
+//! [`TransformerClassifier`]: every weight
 //! matrix (embeddings, Q/K/V/O projections, feed-forward, bottleneck, head) is
 //! stored as **per-output symmetric i8** with one f32 scale per output,
 //! activations and accumulation run in f32, and f64 appears only at the final
 //! class-softmax boundary.
 //!
-//! Per-output (rather than per-tensor) scaling is the right granularity here:
+//! Per-output (rather than per-tensor) scaling is the right grain here:
 //! the Xavier-initialised projections drift apart per output column during
 //! fine-tuning, so a single tensor-wide absmax lets one outlier column crush
 //! the resolution of every other one. Per-output scales cost `d_out` extra f32s
@@ -20,7 +20,7 @@
 //! error into the normalisation statistics.
 //!
 //! The i8 model runs the same graph-free forward as the f64 one
-//! ([`crate::forward`]), so it too skips the padded tail and the last
+//! (the private `forward` module), so it too skips the padded tail and the last
 //! layer's unpooled rows; this module supplies its weight types and its f32
 //! arithmetic. Its matrices keep the f64 graph's `d_in × d_out` layout, so
 //! every product runs the same i-k-j loop (`matmul_accumulate`) in f32 over

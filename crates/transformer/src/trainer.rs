@@ -108,11 +108,6 @@ impl Trainer {
         self.summary.as_ref()
     }
 
-    /// The fine-tuning configuration.
-    pub fn finetune_config(&self) -> &FineTuneConfig {
-        &self.finetune
-    }
-
     /// Fit on raw training texts and dense labels.
     pub fn fit(&mut self, texts: &[&str], labels: &[usize]) {
         assert_eq!(texts.len(), labels.len(), "texts/labels length mismatch");
